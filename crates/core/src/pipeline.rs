@@ -20,10 +20,10 @@ use bitlevel_mapping::{
     OptimalSchedule, PaperDesign,
 };
 use bitlevel_systolic::{
-    run_clocked, simulate_mapped_faulted, simulate_mapped_traced, BitMatmulArray, CompileError,
-    CompiledSchedule, FaultInjector, MappedRunReport, MatmulExpansionICells,
-    MatmulExpansionIICells, MatmulLaneCells, NullSink, PartitionStats, PartitionedSchedule,
-    SimBackend, TraceEvent, TraceSink, MAX_LANES,
+    run_clocked, simulate_mapped, simulate_mapped_faulted, BatchRun, BitMatmulArray, CellSemantics,
+    ClockedRun, CompiledSchedule, FaultInjector, MappedRunReport, MatmulExpansionICells,
+    MatmulExpansionIICells, MatmulLaneCells, MatmulLaneSignals, NoFaults, NullSink, PartitionStats,
+    PartitionedSchedule, SimBackend, SyncCellSemantics, TraceEvent, TraceSink, MAX_LANES,
 };
 use serde::Serialize;
 use std::fmt;
@@ -454,73 +454,7 @@ impl DesignFlow {
         closed_form_cycles: Option<i64>,
         sink: &mut K,
     ) -> ArchitectureReport {
-        let rep = check_feasibility(t, alg, ic);
-        let mut partition = None;
-        let (run, backend_used, cache) = match self.backend {
-            SimBackend::Interpreted => (
-                simulate_mapped_traced(alg, t, ic, sink),
-                BackendUsed::Interpreted,
-                None,
-            ),
-            // Timing-only evaluation is value-independent, so the batch
-            // backend measures exactly what the scalar compiled backend does
-            // (one schedule walk covers every lane).
-            SimBackend::Compiled | SimBackend::CompiledBatch { .. } => {
-                match self.schedule_cached(alg, t, ic, "compiled", sink) {
-                    Ok((sched, activity)) => (
-                        sched.mapped_report_traced(sink),
-                        BackendUsed::Compiled,
-                        Some(activity),
-                    ),
-                    Err(e) => (
-                        simulate_mapped_traced(alg, t, ic, sink),
-                        BackendUsed::fallback(e.to_string()),
-                        None,
-                    ),
-                }
-            }
-            SimBackend::Partitioned { workers } => {
-                match self.schedule_cached(alg, t, ic, "partitioned", sink) {
-                    Ok((sched, activity)) => {
-                        match PartitionedSchedule::try_new(Arc::clone(&sched), workers) {
-                            Ok(part) => {
-                                partition = Some(part.stats().clone());
-                                let used = part.workers();
-                                (
-                                    part.mapped_report_traced(sink),
-                                    BackendUsed::Partitioned { workers: used },
-                                    Some(activity),
-                                )
-                            }
-                            Err(e) => {
-                                self.record_partition_fallback(sink, &e.to_string());
-                                (
-                                    sched.mapped_report_traced(sink),
-                                    BackendUsed::compiled_fallback(e.to_string()),
-                                    Some(activity),
-                                )
-                            }
-                        }
-                    }
-                    Err(e) => (
-                        simulate_mapped_traced(alg, t, ic, sink),
-                        BackendUsed::fallback(e.to_string()),
-                        None,
-                    ),
-                }
-            }
-        };
-        ArchitectureReport {
-            name: name.to_string(),
-            feasible: rep.is_feasible(),
-            violations: rep.violations.iter().map(|v| v.to_string()).collect(),
-            run,
-            closed_form_cycles,
-            max_wire_length: ic.max_wire_length(),
-            backend_used,
-            cache,
-            partition,
-        }
+        self.evaluate_structure_faulted(name, alg, t, ic, closed_form_cycles, sink, &NoFaults)
     }
 
     /// [`DesignFlow::evaluate_traced`] under fault injection: the timing
@@ -539,58 +473,30 @@ impl DesignFlow {
         faults: &F,
     ) -> ArchitectureReport {
         let alg = self.bit_level_structure();
-        let rep = check_feasibility(t, &alg, ic);
-        let mut partition = None;
-        let (run, backend_used, cache) = match self.backend {
-            SimBackend::Interpreted => (
-                simulate_mapped_faulted(&alg, t, ic, sink, faults),
-                BackendUsed::Interpreted,
-                None,
-            ),
-            SimBackend::Compiled | SimBackend::CompiledBatch { .. } => {
-                match self.schedule_cached(&alg, t, ic, "compiled", sink) {
-                    Ok((sched, activity)) => (
-                        sched.mapped_report_faulted(sink, faults),
-                        BackendUsed::Compiled,
-                        Some(activity),
-                    ),
-                    Err(e) => (
-                        simulate_mapped_faulted(&alg, t, ic, sink, faults),
-                        BackendUsed::fallback(e.to_string()),
-                        None,
-                    ),
-                }
-            }
-            SimBackend::Partitioned { workers } => {
-                match self.schedule_cached(&alg, t, ic, "partitioned", sink) {
-                    Ok((sched, activity)) => {
-                        match PartitionedSchedule::try_new(Arc::clone(&sched), workers) {
-                            Ok(part) => {
-                                partition = Some(part.stats().clone());
-                                let used = part.workers();
-                                (
-                                    part.mapped_report_faulted(sink, faults),
-                                    BackendUsed::Partitioned { workers: used },
-                                    Some(activity),
-                                )
-                            }
-                            Err(e) => {
-                                self.record_partition_fallback(sink, &e.to_string());
-                                (
-                                    sched.mapped_report_faulted(sink, faults),
-                                    BackendUsed::compiled_fallback(e.to_string()),
-                                    Some(activity),
-                                )
-                            }
-                        }
-                    }
-                    Err(e) => (
-                        simulate_mapped_faulted(&alg, t, ic, sink, faults),
-                        BackendUsed::fallback(e.to_string()),
-                        None,
-                    ),
-                }
-            }
+        self.evaluate_structure_faulted(name, &alg, t, ic, closed_form_cycles, sink, faults)
+    }
+
+    /// The one body of every timing-only evaluation: the Definition 4.1
+    /// check, then the mapped run on the engine
+    /// [`DesignFlow::resolve_engine`] picks. [`NoFaults`] makes it the
+    /// faultless evaluation.
+    #[allow(clippy::too_many_arguments)]
+    fn evaluate_structure_faulted<K: TraceSink, F: FaultInjector<()>>(
+        &self,
+        name: &str,
+        alg: &AlgorithmTriplet,
+        t: &MappingMatrix,
+        ic: &Interconnect,
+        closed_form_cycles: Option<i64>,
+        sink: &mut K,
+        faults: &F,
+    ) -> ArchitectureReport {
+        let rep = check_feasibility(t, alg, ic);
+        let resolved = self.resolve_engine(alg, t, ic, self.fallback_origin(false), sink);
+        let run = match &resolved.engine {
+            Engine::Interpreted => simulate_mapped_faulted(alg, t, ic, sink, faults),
+            Engine::Compiled(sched) => sched.mapped_report_faulted(sink, faults),
+            Engine::Partitioned(part) => part.mapped_report_faulted(sink, faults),
         };
         ArchitectureReport {
             name: name.to_string(),
@@ -599,9 +505,9 @@ impl DesignFlow {
             run,
             closed_form_cycles,
             max_wire_length: ic.max_wire_length(),
-            backend_used,
-            cache,
-            partition,
+            backend_used: resolved.used,
+            cache: resolved.cache,
+            partition: resolved.partition,
         }
     }
 
@@ -724,12 +630,7 @@ impl DesignFlow {
                     Some(point.time),
                     sink,
                 );
-                let reference = simulate_mapped_traced(
-                    &alg,
-                    &point.mapping,
-                    &point.interconnect,
-                    &mut NullSink,
-                );
+                let reference = simulate_mapped(&alg, &point.mapping, &point.interconnect);
                 let divergences = report
                     .run
                     .divergences_from(&reference)
@@ -804,26 +705,10 @@ impl DesignFlow {
         );
         let t = design.mapping(p as i64);
         let ic = design.interconnect(p as i64);
-        let run = match self.backend {
-            SimBackend::Interpreted => run_clocked(&alg, &t, &ic, &mut cells),
-            SimBackend::Compiled | SimBackend::CompiledBatch { .. } => {
-                match self.schedule_cached(&alg, &t, &ic, "compiled", &mut NullSink) {
-                    Ok((sched, _)) => sched.execute(&cells),
-                    Err(_) => run_clocked(&alg, &t, &ic, &mut cells),
-                }
-            }
-            SimBackend::Partitioned { workers } => {
-                match self.schedule_cached(&alg, &t, &ic, "partitioned", &mut NullSink) {
-                    Ok((sched, _)) => {
-                        match PartitionedSchedule::try_new(Arc::clone(&sched), workers) {
-                            Ok(part) => part.execute(&cells),
-                            Err(_) => sched.execute(&cells),
-                        }
-                    }
-                    Err(_) => run_clocked(&alg, &t, &ic, &mut cells),
-                }
-            }
-        };
+        let run = self
+            .resolve_engine(&alg, &t, &ic, self.fallback_origin(false), &mut NullSink)
+            .engine
+            .execute(&alg, &t, &ic, &mut cells);
         assert!(run.is_legal(), "clocked violations: {:?}", run.violations);
         for (tail, value) in cells.extract_results(&run) {
             let (i, j) = ((tail[0] - 1) as usize, (tail[1] - 1) as usize);
@@ -835,10 +720,11 @@ impl DesignFlow {
 
     /// Bit-exact functional verification for matmul flows: runs the
     /// Expansion II array on deterministic safe operands and compares with
-    /// native arithmetic. Under [`SimBackend::Compiled`] the same operands
-    /// are additionally pushed through the compiled clocked engine on the
-    /// Fig. 4 design and must extract the same products. Returns the tested
-    /// matrix size.
+    /// native arithmetic. Under every backend but [`SimBackend::Interpreted`]
+    /// the same operands are additionally pushed through the flow's clocked
+    /// engine on the Fig. 4 design (compiled or partitioned, degrading like
+    /// [`DesignFlow::evaluate_structure`]) and must extract the same
+    /// products. Returns the tested matrix size.
     ///
     /// # Panics
     /// Panics (with a descriptive message) if the array miscomputes — this is
@@ -873,30 +759,16 @@ impl DesignFlow {
                 );
             }
         }
-        if matches!(
-            self.backend,
-            SimBackend::Compiled
-                | SimBackend::CompiledBatch { .. }
-                | SimBackend::Partitioned { .. }
-        ) && self.expansion == Expansion::II
-        {
+        if self.backend != SimBackend::Interpreted && self.expansion == Expansion::II {
             let alg = self.bit_level_structure();
             let design = PaperDesign::TimeOptimal;
-            let cells = MatmulExpansionIICells::new(u, self.p, &x, &y);
+            let mut cells = MatmulExpansionIICells::new(u, self.p, &x, &y);
             let t = design.mapping(self.p as i64);
             let ic = design.interconnect(self.p as i64);
-            let (sched, _) = self
-                .schedule_cached(&alg, &t, &ic, "compiled", &mut NullSink)
-                .expect("the Fig. 4 matmul design always compiles");
-            let run = match self.backend {
-                SimBackend::Partitioned { workers } => {
-                    match PartitionedSchedule::try_new(Arc::clone(&sched), workers) {
-                        Ok(part) => part.execute(&cells),
-                        Err(_) => sched.execute(&cells),
-                    }
-                }
-                _ => sched.execute(&cells),
-            };
+            let run = self
+                .resolve_engine(&alg, &t, &ic, self.fallback_origin(false), &mut NullSink)
+                .engine
+                .execute(&alg, &t, &ic, &mut cells);
             assert!(
                 run.is_legal(),
                 "compiled clocked violations: {:?}",
@@ -959,191 +831,110 @@ impl DesignFlow {
         let t = design.mapping(p as i64);
         let ic = design.interconnect(p as i64);
 
-        // Per-instance interpreted execution: the reference oracle, and the
-        // landing spot for everything the word-parallel path cannot take.
-        let interpret_all = |backend_used: BackendUsed| -> BatchRunReport {
-            let mut products = Vec::with_capacity(n);
-            let mut cycles = 0;
-            let mut legal = true;
-            for (x, y) in xs.iter().zip(ys) {
-                let run = match self.expansion {
+        let from = self.fallback_origin(true);
+        let resolved = if self.expansion == Expansion::I && self.backend != SimBackend::Interpreted
+        {
+            let reason = "Expansion I cells are sequential";
+            record_fallback(sink, from, "interpreted", reason);
+            Resolved::interpreted(BackendUsed::fallback(reason))
+        } else {
+            self.resolve_engine(&alg, &t, &ic, from, sink)
+        };
+
+        // Lane-packed walks take `CompiledBatch` at its clamped width, and
+        // the partitioned engine (or its compiled fallback) at full word
+        // width: the partition shards PEs, the lanes shard instances, and
+        // the two compose. Every other path walks one instance at a time.
+        let (lanes, width, backend_used) = match (&resolved.engine, self.backend) {
+            (Engine::Compiled(_), SimBackend::CompiledBatch { width }) => {
+                let w = width.clamp(1, MAX_LANES);
+                if K::ENABLED && w != width {
+                    sink.record(TraceEvent::BatchWidthClamped {
+                        requested: width,
+                        used: w,
+                    });
+                }
+                (Some(w), w, BackendUsed::CompiledBatch { width: w })
+            }
+            (Engine::Compiled(_) | Engine::Partitioned(_), SimBackend::Partitioned { .. }) => {
+                (Some(MAX_LANES), n.min(MAX_LANES), resolved.used)
+            }
+            _ => (None, 1, resolved.used),
+        };
+        let pack = |w: usize| -> Vec<MatmulLaneCells> {
+            xs.chunks(w)
+                .zip(ys.chunks(w))
+                .map(|(xc, yc)| MatmulLaneCells::new(u, p, xc, yc))
+                .collect()
+        };
+        let walks: Vec<Walk> = match (&resolved.engine, lanes) {
+            (Engine::Compiled(sched), Some(w)) => {
+                let chunks = pack(w);
+                // Traced walks run sequentially so the sink sees a
+                // deterministic event order.
+                let runs = if K::ENABLED {
+                    chunks
+                        .iter()
+                        .map(|cells| sched.execute_batch_traced(cells, sink))
+                        .collect()
+                } else {
+                    sched.execute_batch_chunks(&chunks)
+                };
+                lane_walks(&chunks, &runs)
+            }
+            (Engine::Partitioned(part), Some(w)) => {
+                let chunks = pack(w);
+                let runs: Vec<_> = chunks
+                    .iter()
+                    .map(|cells| part.execute_batch_traced(cells, sink))
+                    .collect();
+                lane_walks(&chunks, &runs)
+            }
+            // Stateful Expansion I cells only ever reach the interpreted
+            // engine (see the fallback above).
+            (engine, _) => xs
+                .iter()
+                .zip(ys)
+                .map(|(x, y)| match self.expansion {
                     Expansion::II => {
                         let mut cells = MatmulExpansionIICells::new(u, p, x, y);
-                        let run = run_clocked(&alg, &t, &ic, &mut cells);
-                        products.push(cells.extract_product(&run));
-                        run
+                        let run = engine.execute(&alg, &t, &ic, &mut cells);
+                        (
+                            run.cycles,
+                            run.is_legal(),
+                            vec![cells.extract_product(&run)],
+                        )
                     }
                     Expansion::I => {
                         let mut cells = MatmulExpansionICells::new(u, p, x, y);
                         let run = run_clocked(&alg, &t, &ic, &mut cells);
-                        products.push(cells.extract_product(&run));
-                        run
+                        (
+                            run.cycles,
+                            run.is_legal(),
+                            vec![cells.extract_product(&run)],
+                        )
                     }
-                };
-                cycles = run.cycles;
-                legal &= run.is_legal();
-            }
-            BatchRunReport {
-                design: design.name().to_string(),
-                instances: n,
-                width: 1,
-                walks: n,
-                cycles,
-                legal,
-                backend_used,
-                products,
-            }
+                })
+                .collect(),
         };
 
-        match self.backend {
-            SimBackend::Interpreted => interpret_all(BackendUsed::Interpreted),
-            SimBackend::Compiled => {
-                if self.expansion != Expansion::II {
-                    self.record_batch_fallback(sink, "Expansion I cells are sequential");
-                    return interpret_all(BackendUsed::fallback(
-                        "Expansion I cells are sequential",
-                    ));
-                }
-                match self.schedule_cached(&alg, &t, &ic, "compiled", sink) {
-                    Ok((sched, _)) => {
-                        let mut products = Vec::with_capacity(n);
-                        let mut cycles = 0;
-                        let mut legal = true;
-                        for (x, y) in xs.iter().zip(ys) {
-                            let cells = MatmulExpansionIICells::new(u, p, x, y);
-                            let run = sched.execute(&cells);
-                            cycles = run.cycles;
-                            legal &= run.is_legal();
-                            products.push(cells.extract_product(&run));
-                        }
-                        BatchRunReport {
-                            design: design.name().to_string(),
-                            instances: n,
-                            width: 1,
-                            walks: n,
-                            cycles,
-                            legal,
-                            backend_used: BackendUsed::Compiled,
-                            products,
-                        }
-                    }
-                    Err(e) => interpret_all(BackendUsed::fallback(e.to_string())),
-                }
-            }
-            SimBackend::CompiledBatch { width } => {
-                if self.expansion != Expansion::II {
-                    self.record_batch_fallback(sink, "Expansion I cells are sequential");
-                    return interpret_all(BackendUsed::fallback(
-                        "Expansion I cells are sequential",
-                    ));
-                }
-                match self.schedule_cached(&alg, &t, &ic, "compiled-batch", sink) {
-                    Ok((sched, _)) => {
-                        let w = width.clamp(1, MAX_LANES);
-                        if K::ENABLED && w != width {
-                            sink.record(TraceEvent::BatchWidthClamped {
-                                requested: width,
-                                used: w,
-                            });
-                        }
-                        let chunks: Vec<MatmulLaneCells> = xs
-                            .chunks(w)
-                            .zip(ys.chunks(w))
-                            .map(|(xc, yc)| MatmulLaneCells::new(u, p, xc, yc))
-                            .collect();
-                        let runs = if K::ENABLED {
-                            // Traced walks run sequentially so the sink sees
-                            // a deterministic event order.
-                            chunks
-                                .iter()
-                                .map(|cells| sched.execute_batch_traced(cells, sink))
-                                .collect::<Vec<_>>()
-                        } else {
-                            sched.execute_batch_chunks(&chunks)
-                        };
-                        let mut products = Vec::with_capacity(n);
-                        let mut cycles = 0;
-                        let mut legal = true;
-                        for (cells, run) in chunks.iter().zip(&runs) {
-                            cycles = run.cycles;
-                            legal &= run.is_legal();
-                            products.extend(cells.extract_products(run));
-                        }
-                        BatchRunReport {
-                            design: design.name().to_string(),
-                            instances: n,
-                            width: w,
-                            walks: chunks.len(),
-                            cycles,
-                            legal,
-                            backend_used: BackendUsed::CompiledBatch { width: w },
-                            products,
-                        }
-                    }
-                    Err(e) => interpret_all(BackendUsed::fallback(e.to_string())),
-                }
-            }
-            SimBackend::Partitioned { workers } => {
-                if self.expansion != Expansion::II {
-                    self.record_batch_fallback(sink, "Expansion I cells are sequential");
-                    return interpret_all(BackendUsed::fallback(
-                        "Expansion I cells are sequential",
-                    ));
-                }
-                match self.schedule_cached(&alg, &t, &ic, "partitioned", sink) {
-                    Ok((sched, _)) => {
-                        // Lane-pack at full word width: the partition shards
-                        // PEs, the lanes shard instances — the two compose.
-                        let chunks: Vec<MatmulLaneCells> = xs
-                            .chunks(MAX_LANES)
-                            .zip(ys.chunks(MAX_LANES))
-                            .map(|(xc, yc)| MatmulLaneCells::new(u, p, xc, yc))
-                            .collect();
-                        let w = n.min(MAX_LANES);
-                        let (runs, backend_used) =
-                            match PartitionedSchedule::try_new(Arc::clone(&sched), workers) {
-                                Ok(part) => {
-                                    let runs: Vec<_> = if K::ENABLED {
-                                        chunks
-                                            .iter()
-                                            .map(|cells| part.execute_batch_traced(cells, sink))
-                                            .collect()
-                                    } else {
-                                        chunks.iter().map(|c| part.execute_batch(c)).collect()
-                                    };
-                                    let used = part.workers();
-                                    (runs, BackendUsed::Partitioned { workers: used })
-                                }
-                                Err(e) => {
-                                    self.record_partition_fallback(sink, &e.to_string());
-                                    (
-                                        sched.execute_batch_chunks(&chunks),
-                                        BackendUsed::compiled_fallback(e.to_string()),
-                                    )
-                                }
-                            };
-                        let mut products = Vec::with_capacity(n);
-                        let mut cycles = 0;
-                        let mut legal = true;
-                        for (cells, run) in chunks.iter().zip(&runs) {
-                            cycles = run.cycles;
-                            legal &= run.is_legal();
-                            products.extend(cells.extract_products(run));
-                        }
-                        BatchRunReport {
-                            design: design.name().to_string(),
-                            instances: n,
-                            width: w,
-                            walks: chunks.len(),
-                            cycles,
-                            legal,
-                            backend_used,
-                            products,
-                        }
-                    }
-                    Err(e) => interpret_all(BackendUsed::fallback(e.to_string())),
-                }
-            }
+        let mut products = Vec::with_capacity(n);
+        let (mut cycles, mut legal) = (0, true);
+        let n_walks = walks.len();
+        for (walk_cycles, walk_legal, walk_products) in walks {
+            cycles = walk_cycles;
+            legal &= walk_legal;
+            products.extend(walk_products);
+        }
+        BatchRunReport {
+            design: design.name().to_string(),
+            instances: n,
+            width,
+            walks: n_walks,
+            cycles,
+            legal,
+            backend_used,
+            products,
         }
     }
 
@@ -1234,76 +1025,159 @@ impl DesignFlow {
         (self.word.bounds.upper()[0] as usize, self.p)
     }
 
-    /// The one cached-compile path every compiled-backend entry point shares:
-    /// consults the flow's [`CompileCache`] by content key, emits a
-    /// [`TraceEvent::CacheQuery`] for the lookup, and — when the structure
-    /// does not compile — emits the [`TraceEvent::BackendFallback`] (tagged
-    /// with the originating backend, `"compiled"` or `"compiled-batch"`)
-    /// before handing the error back for graceful degradation.
-    fn schedule_cached<K: TraceSink>(
+    /// The one backend-dispatch path every simulating entry point shares.
+    ///
+    /// Looks the compiled schedule up in the flow's [`CompileCache`] by
+    /// content key (emitting a [`TraceEvent::CacheQuery`]) and, under
+    /// [`SimBackend::Partitioned`], clusters it onto the worker pool.
+    /// Degradation is graceful and recorded in the returned
+    /// [`BackendUsed`]: a structure that does not compile runs interpreted
+    /// (a [`TraceEvent::BackendFallback`] tagged `from`), and a schedule the
+    /// partitioner declines runs compiled (tagged `"partitioned"`).
+    fn resolve_engine<K: TraceSink>(
         &self,
         alg: &AlgorithmTriplet,
         t: &MappingMatrix,
         ic: &Interconnect,
         from: &str,
         sink: &mut K,
-    ) -> Result<(Arc<CompiledSchedule>, CacheActivity), CompileError> {
-        match self.cache.get_or_compile(alg, t, ic) {
-            Ok((sched, outcome)) => {
-                let activity = CacheActivity {
-                    key: self.cache.key_for(alg, t, ic).hex(),
-                    outcome: outcome.to_string(),
-                    stats: self.cache.stats(),
-                };
-                if K::ENABLED {
-                    sink.record(TraceEvent::CacheQuery {
-                        key: activity.key.clone(),
-                        outcome: activity.outcome.clone(),
-                    });
-                }
-                Ok((sched, activity))
-            }
+    ) -> Resolved {
+        let workers = match self.backend {
+            SimBackend::Interpreted => return Resolved::interpreted(BackendUsed::Interpreted),
+            SimBackend::Compiled | SimBackend::CompiledBatch { .. } => None,
+            SimBackend::Partitioned { workers } => Some(workers),
+        };
+        let (sched, outcome) = match self.cache.get_or_compile(alg, t, ic) {
+            Ok(found) => found,
             Err(e) => {
-                if K::ENABLED {
-                    sink.record(TraceEvent::BackendFallback {
-                        from: from.to_string(),
-                        to: "interpreted".to_string(),
-                        reason: e.to_string(),
-                    });
-                }
-                Err(e)
+                let reason = e.to_string();
+                record_fallback(sink, from, "interpreted", &reason);
+                return Resolved::interpreted(BackendUsed::fallback(reason));
             }
+        };
+        let cache = CacheActivity {
+            key: self.cache.key_for(alg, t, ic).hex(),
+            outcome: outcome.to_string(),
+            stats: self.cache.stats(),
+        };
+        if K::ENABLED {
+            sink.record(TraceEvent::CacheQuery {
+                key: cache.key.clone(),
+                outcome: cache.outcome.clone(),
+            });
+        }
+        let partitioned = workers.map(|k| PartitionedSchedule::try_new(Arc::clone(&sched), k));
+        let (engine, used, partition) = match partitioned {
+            None => (Engine::Compiled(sched), BackendUsed::Compiled, None),
+            Some(Ok(part)) => {
+                let used = BackendUsed::Partitioned {
+                    workers: part.workers(),
+                };
+                let stats = part.stats().clone();
+                (Engine::Partitioned(part), used, Some(stats))
+            }
+            Some(Err(e)) => {
+                let reason = e.to_string();
+                record_fallback(sink, "partitioned", "compiled", &reason);
+                (
+                    Engine::Compiled(sched),
+                    BackendUsed::compiled_fallback(reason),
+                    None,
+                )
+            }
+        };
+        Resolved {
+            engine,
+            used,
+            cache: Some(cache),
+            partition,
         }
     }
 
-    /// Emits the [`TraceEvent::BackendFallback`] every batch fallback path
-    /// shares.
-    fn record_batch_fallback<K: TraceSink>(&self, sink: &mut K, reason: &str) {
-        if K::ENABLED {
-            let from = match self.backend {
-                SimBackend::CompiledBatch { .. } => "compiled-batch",
-                SimBackend::Partitioned { .. } => "partitioned",
-                _ => "compiled",
-            };
-            sink.record(TraceEvent::BackendFallback {
-                from: from.to_string(),
-                to: "interpreted".to_string(),
-                reason: reason.to_string(),
-            });
+    /// The backend a compile fallback names as its origin: the configured
+    /// one, except that `CompiledBatch` is only itself on a lane-packed
+    /// batch — timing-only and scalar runs use it as plain `"compiled"`.
+    fn fallback_origin(&self, lane_packed: bool) -> &'static str {
+        match self.backend {
+            SimBackend::Partitioned { .. } => "partitioned",
+            SimBackend::CompiledBatch { .. } if lane_packed => "compiled-batch",
+            _ => "compiled",
         }
     }
+}
 
-    /// Emits the [`TraceEvent::BackendFallback`] recorded when the LSGP
-    /// partitioner declines a compiled schedule and the evaluation degrades
-    /// to the plain compiled engine.
-    fn record_partition_fallback<K: TraceSink>(&self, sink: &mut K, reason: &str) {
-        if K::ENABLED {
-            sink.record(TraceEvent::BackendFallback {
-                from: "partitioned".to_string(),
-                to: "compiled".to_string(),
-                reason: reason.to_string(),
-            });
+/// The simulation engine one evaluation runs on.
+enum Engine {
+    /// The interpreted reference engines.
+    Interpreted,
+    /// The compiled dense-slot schedule, shared through the compile cache.
+    Compiled(Arc<CompiledSchedule>),
+    /// That schedule clustered onto the LSGP worker pool.
+    Partitioned(PartitionedSchedule),
+}
+
+impl Engine {
+    /// One value-carrying clocked run of `cells` (untraced).
+    fn execute<S>(
+        &self,
+        alg: &AlgorithmTriplet,
+        t: &MappingMatrix,
+        ic: &Interconnect,
+        cells: &mut S,
+    ) -> ClockedRun<<S as SyncCellSemantics>::Bundle>
+    where
+        S: SyncCellSemantics + CellSemantics<Bundle = <S as SyncCellSemantics>::Bundle>,
+    {
+        match self {
+            Engine::Interpreted => run_clocked(alg, t, ic, cells),
+            Engine::Compiled(sched) => sched.execute(cells),
+            Engine::Partitioned(part) => part.execute(cells),
         }
+    }
+}
+
+/// [`DesignFlow::resolve_engine`]'s answer: the engine, and the evidence
+/// reports carry about how it was reached.
+struct Resolved {
+    engine: Engine,
+    used: BackendUsed,
+    cache: Option<CacheActivity>,
+    partition: Option<PartitionStats>,
+}
+
+impl Resolved {
+    fn interpreted(used: BackendUsed) -> Self {
+        Resolved {
+            engine: Engine::Interpreted,
+            used,
+            cache: None,
+            partition: None,
+        }
+    }
+}
+
+/// One schedule walk of a batch: its cycle count, its legality, and the
+/// products of the instances it carried.
+type Walk = (i64, bool, Vec<Vec<Vec<u128>>>);
+
+/// The [`Walk`]s of lane-packed runs, one per word.
+fn lane_walks(chunks: &[MatmulLaneCells], runs: &[BatchRun<MatmulLaneSignals>]) -> Vec<Walk> {
+    chunks
+        .iter()
+        .zip(runs)
+        .map(|(cells, run)| (run.cycles, run.is_legal(), cells.extract_products(run)))
+        .collect()
+}
+
+/// Emits the [`TraceEvent::BackendFallback`] of a degradation from one
+/// backend to another.
+fn record_fallback<K: TraceSink>(sink: &mut K, from: &str, to: &str, reason: &str) {
+    if K::ENABLED {
+        sink.record(TraceEvent::BackendFallback {
+            from: from.to_string(),
+            to: to.to_string(),
+            reason: reason.to_string(),
+        });
     }
 }
 
