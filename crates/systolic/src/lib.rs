@@ -69,7 +69,7 @@ pub use expansion_i_clocked::MatmulExpansionICells;
 pub use fault::{FaultInjector, FaultableBundle, NoFaults, TransferFault};
 pub use mapped::{
     asap_depths, critical_path, fanin_histogram, mean_producer_depth, simulate_mapped,
-    simulate_mapped_faulted, simulate_mapped_parallel, simulate_mapped_traced, MappedRunReport,
+    simulate_mapped_faulted, simulate_mapped_traced, MappedRunReport,
 };
 pub use model35::{ColumnMap, ColumnMapError, Model35Cells, Model35LaneCells};
 pub use partition::{PartitionError, PartitionStats, PartitionedSchedule};

@@ -310,144 +310,6 @@ pub fn simulate_mapped_faulted<K: TraceSink, F: FaultInjector<()>>(
     }
 }
 
-/// Rayon-parallel variant of [`simulate_mapped`]: identical report, computed
-/// by folding per-thread partial states over point chunks and merging. The
-/// per-point work here is small, so the fork/merge overhead only pays off
-/// for very large index sets — the `ablations` bench measures the crossover
-/// (sequential still wins at ~32k points); an equivalence test pins the two
-/// implementations together.
-pub fn simulate_mapped_parallel(
-    alg: &AlgorithmTriplet,
-    t: &MappingMatrix,
-    ic: &Interconnect,
-) -> MappedRunReport {
-    use rayon::prelude::*;
-
-    assert_eq!(t.n(), alg.dim(), "mapping/algorithm dimension mismatch");
-    let set = &alg.index_set;
-    let routes: Vec<Option<(IVec, i64)>> = alg
-        .deps
-        .iter()
-        .map(|d| {
-            let budget = d.vector.dot(&t.schedule);
-            if budget <= 0 {
-                return None;
-            }
-            ic.route(&t.space.matvec(&d.vector), budget)
-                .map(|r| (r.usage, r.buffers))
-        })
-        .collect();
-
-    #[derive(Clone)]
-    struct Partial {
-        time_min: i64,
-        time_max: i64,
-        occupancy: HashMap<(IVec, i64), u32>,
-        busy_per_cycle: HashMap<i64, usize>,
-        processors: std::collections::HashSet<IVec>,
-        link_traffic: Vec<u64>,
-        buffer_cycles: u64,
-        causality_ok: bool,
-        computations: u128,
-    }
-
-    let points: Vec<IVec> = set.iter_points().collect();
-    let m = ic.count();
-    let merged = points
-        .par_chunks(1024.max(points.len() / (rayon::current_num_threads() * 4).max(1)))
-        .map(|chunk| {
-            let mut p = Partial {
-                time_min: i64::MAX,
-                time_max: i64::MIN,
-                occupancy: HashMap::new(),
-                busy_per_cycle: HashMap::new(),
-                processors: std::collections::HashSet::new(),
-                link_traffic: vec![0; m],
-                buffer_cycles: 0,
-                causality_ok: true,
-                computations: 0,
-            };
-            for q in chunk {
-                let time = t.time(q);
-                let place = t.place(q);
-                p.time_min = p.time_min.min(time);
-                p.time_max = p.time_max.max(time);
-                p.computations += 1;
-                *p.busy_per_cycle.entry(time).or_insert(0) += 1;
-                *p.occupancy.entry((place.clone(), time)).or_insert(0) += 1;
-                p.processors.insert(place);
-                for (di, d) in alg.deps.iter().enumerate() {
-                    if !d.active_at(q, set) {
-                        continue;
-                    }
-                    match &routes[di] {
-                        Some((usage, buffers)) => {
-                            for (j, &cnt) in usage.iter().enumerate() {
-                                p.link_traffic[j] += cnt as u64;
-                            }
-                            p.buffer_cycles += *buffers as u64;
-                        }
-                        None => p.causality_ok = false,
-                    }
-                }
-            }
-            p
-        })
-        .reduce_with(|mut a, b| {
-            a.time_min = a.time_min.min(b.time_min);
-            a.time_max = a.time_max.max(b.time_max);
-            a.computations += b.computations;
-            for (k, v) in b.busy_per_cycle {
-                *a.busy_per_cycle.entry(k).or_insert(0) += v;
-            }
-            for (k, v) in b.occupancy {
-                *a.occupancy.entry(k).or_insert(0) += v;
-            }
-            a.processors.extend(b.processors);
-            for (j, v) in b.link_traffic.into_iter().enumerate() {
-                a.link_traffic[j] += v;
-            }
-            a.buffer_cycles += b.buffer_cycles;
-            a.causality_ok &= b.causality_ok;
-            a
-        });
-
-    let Some(p) = merged else {
-        return MappedRunReport {
-            cycles: 0,
-            processors: 0,
-            computations: 0,
-            conflict_free: true,
-            causality_ok: true,
-            utilization: 0.0,
-            peak_parallelism: 0,
-            link_traffic: vec![0; m],
-            buffer_cycles: 0,
-        };
-    };
-
-    let cycles = p.time_max - p.time_min + 1;
-    let conflict_free = p.occupancy.values().all(|&c| c <= 1);
-    let busy_total: usize = p.busy_per_cycle.values().sum();
-    let peak_parallelism = p.busy_per_cycle.values().copied().max().unwrap_or(0);
-    let utilization = if cycles > 0 && !p.processors.is_empty() {
-        busy_total as f64 / (p.processors.len() as f64 * cycles as f64)
-    } else {
-        0.0
-    };
-    MappedRunReport {
-        cycles,
-        processors: p.processors.len(),
-        computations: p.computations,
-        conflict_free,
-        causality_ok: p.causality_ok,
-        utilization,
-        peak_parallelism,
-        link_traffic: p.link_traffic,
-        buffer_cycles: p.buffer_cycles,
-    }
-}
-
 /// ASAP (dataflow) depth of every index point: `depth(q̄) = 1 + max` over
 /// active incoming dependences of the producer's depth. `Π`-independent.
 pub fn asap_depths(alg: &AlgorithmTriplet) -> HashMap<IVec, u64> {
@@ -719,39 +581,6 @@ mod tests {
         // Expansion I has strictly fewer wide points.
         let wide = |h: &[u64]| h.iter().skip(4).sum::<u64>();
         assert!(wide(&hist_i) < wide(&hist), "{hist_i:?} vs {hist:?}");
-    }
-
-    #[test]
-    fn parallel_simulation_matches_sequential() {
-        for (u, p) in [(2i64, 2i64), (3, 3), (4, 3)] {
-            let alg = matmul_bitlevel(u, p);
-            for design in [PaperDesign::TimeOptimal, PaperDesign::NearestNeighbour] {
-                let t = design.mapping(p);
-                let ic = design.interconnect(p);
-                let seq = simulate_mapped(&alg, &t, &ic);
-                let par = simulate_mapped_parallel(&alg, &t, &ic);
-                assert_eq!(seq.cycles, par.cycles);
-                assert_eq!(seq.processors, par.processors);
-                assert_eq!(seq.computations, par.computations);
-                assert_eq!(seq.conflict_free, par.conflict_free);
-                assert_eq!(seq.causality_ok, par.causality_ok);
-                assert_eq!(seq.link_traffic, par.link_traffic);
-                assert_eq!(seq.buffer_cycles, par.buffer_cycles);
-                assert_eq!(seq.peak_parallelism, par.peak_parallelism);
-                assert!((seq.utilization - par.utilization).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_simulation_detects_conflicts_too() {
-        let alg = matmul_bitlevel(2, 2);
-        let t = MappingMatrix::new(
-            IMat::from_rows(&[&[0, 0, 0, 0, 0], &[0, 2, 0, 0, 1]]),
-            bitlevel_linalg::IVec::from([1, 1, 1, 2, 1]),
-        );
-        let par = simulate_mapped_parallel(&alg, &t, &Interconnect::paper_p(2));
-        assert!(!par.conflict_free);
     }
 
     #[test]

@@ -171,8 +171,7 @@ impl TraceEvent {
 ///
 /// Engines guard every emission with `if K::ENABLED { sink.record(..) }`, so
 /// a sink with `ENABLED = false` (i.e. [`NullSink`]) compiles to the exact
-/// untraced hot loop — the criterion benches hold the compiled engine to
-/// that.
+/// untraced hot loop.
 pub trait TraceSink {
     /// Whether this sink observes anything at all. Defaults to `true`.
     const ENABLED: bool = true;

@@ -7,7 +7,6 @@ use bitlevel::mapping::{
     find_linear_array_mapping, find_optimal_schedule, find_optimal_schedule_bestfirst,
     linear_interconnect, Interconnect, PaperDesign,
 };
-use bitlevel::systolic::simulate_mapped_parallel;
 use bitlevel::WordLevelAlgorithm;
 
 #[test]
@@ -25,22 +24,6 @@ fn schedule_search_is_deterministic() {
     // And the best-first variant lands on the same optimum.
     let bf = find_optimal_schedule_bestfirst(&s, &alg, &ic, 2).unwrap();
     assert_eq!(first.pi, bf.pi);
-}
-
-#[test]
-fn parallel_simulation_is_deterministic() {
-    let alg = compose(&WordLevelAlgorithm::matmul(3), 3, Expansion::II);
-    let design = PaperDesign::TimeOptimal;
-    let t = design.mapping(3);
-    let ic = design.interconnect(3);
-    let first = simulate_mapped_parallel(&alg, &t, &ic);
-    for _ in 0..3 {
-        let again = simulate_mapped_parallel(&alg, &t, &ic);
-        assert_eq!(first.cycles, again.cycles);
-        assert_eq!(first.link_traffic, again.link_traffic);
-        assert_eq!(first.buffer_cycles, again.buffer_cycles);
-        assert_eq!(first.peak_parallelism, again.peak_parallelism);
-    }
 }
 
 #[test]

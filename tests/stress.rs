@@ -4,11 +4,11 @@
 //! fast; these tests exercise the production paths at realistic sizes.
 
 use bitlevel::depanal::{compose, Expansion};
-use bitlevel::systolic::{simulate_mapped_parallel, BitMatmulArray};
-use bitlevel::{PaperDesign, WordLevelAlgorithm};
+use bitlevel::systolic::BitMatmulArray;
+use bitlevel::{CompiledSchedule, PaperDesign, WordLevelAlgorithm};
 
 /// A million-point mapped simulation (u = 16, p = 16 → 16³·16² ≈ 1.05M
-/// points) through the parallel simulator, with every closed form intact.
+/// points) through the compiled engine, with every closed form intact.
 #[test]
 #[ignore = "stress: ~1M index points; run with --ignored --release"]
 fn million_point_mapped_simulation() {
@@ -19,7 +19,9 @@ fn million_point_mapped_simulation() {
         (u as u128).pow(3) * (p as u128).pow(2)
     );
     let design = PaperDesign::TimeOptimal;
-    let run = simulate_mapped_parallel(&alg, &design.mapping(p), &design.interconnect(p));
+    let run = CompiledSchedule::try_compile(&alg, &design.mapping(p), &design.interconnect(p))
+        .expect("a million points fit the dense u32 slot space")
+        .mapped_report();
     assert_eq!(run.cycles, 3 * (u - 1) + 3 * (p - 1) + 1);
     assert_eq!(run.processors as i64, u * u * p * p);
     assert!(run.conflict_free && run.causality_ok);
