@@ -22,9 +22,8 @@
 //!   up to 64 independent problem instances in the bit-lanes of a `u64`,
 //!   one schedule walk per batch, with bitwise word forms of both the
 //!   matmul and the generic model-(3.5) cells, per-lane fault masks that
-//!   pack up to 64 distinct fault cases into one walk, a generic per-lane
-//!   last-resort, and lane extraction back into per-instance
-//!   [`ClockedRun`]s;
+//!   pack up to 64 distinct fault cases into one walk, and lane extraction
+//!   back into per-instance [`ClockedRun`]s;
 //! * [`trace`] — structured per-cycle observability shared by all three
 //!   engines: a [`TraceSink`] trait with a statically zero-overhead
 //!   [`NullSink`], an in-memory [`RecordingSink`] with rollup counters
@@ -52,8 +51,8 @@ pub mod viz;
 pub mod word_array;
 
 pub use batch::{
-    BatchRun, FaultedBatchRun, LaneArena, LaneCellSemantics, LaneFaultMasks, LaneFaultedCells,
-    LanePackedBundle, LaneView, MatmulLaneCells, MatmulLaneSignals, PerLaneCells, MAX_LANES,
+    BatchRun, LaneCellSemantics, LaneFaultMasks, LaneFaultedCells, LanePackedBundle, LaneView,
+    MatmulLaneCells, MatmulLaneSignals, MAX_LANES,
 };
 pub use bit_array::{BitMatmulArray, BitMatmulRun};
 pub use clocked::{

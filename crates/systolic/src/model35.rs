@@ -382,9 +382,8 @@ impl SyncCellSemantics for Model35Cells {
 /// token is present — is a function of the index point and input *presence*,
 /// both lane-uniform, so the body ports to [`LaneWord`] operations verbatim:
 /// convolution and matrix–vector batches ride the same word-wide compiled
-/// walk as the matmul specialisation
-/// ([`crate::batch::MatmulLaneCells`]) instead of degrading to the per-lane
-/// [`crate::batch::PerLaneCells`] fallback. The packed token is
+/// walk as the matmul specialisation ([`crate::batch::MatmulLaneCells`]),
+/// with no per-lane evaluation anywhere. The packed token is
 /// [`MatmulLaneSignals`] (the Expansion II wire set is shared by all
 /// model-(3.5) workloads), so the lane-fault machinery
 /// ([`crate::batch::LaneFaultedCells`]) applies unchanged.
