@@ -167,7 +167,7 @@ mod tests {
 
     #[test]
     fn no_faults_is_disabled_and_inert() {
-        assert!(!<NoFaults as FaultInjector<MatmulSignals>>::ENABLED);
+        const { assert!(!<NoFaults as FaultInjector<MatmulSignals>>::ENABLED) };
         let mut b = MatmulSignals::default();
         let before = b;
         let p = IVec::from([1, 1]);

@@ -563,14 +563,14 @@ mod tests {
 
     #[test]
     fn null_sink_is_statically_disabled() {
-        assert!(!NullSink::ENABLED);
-        assert!(RecordingSink::ENABLED);
+        const { assert!(!NullSink::ENABLED) };
+        const { assert!(RecordingSink::ENABLED) };
         // And recording is the trait default.
         struct Custom;
         impl TraceSink for Custom {
             fn record(&mut self, _e: TraceEvent) {}
         }
-        assert!(Custom::ENABLED);
+        const { assert!(Custom::ENABLED) };
     }
 
     #[test]
