@@ -11,7 +11,7 @@ use bitlevel::linalg::{IMat, IVec};
 use bitlevel::systolic::{CompileError, NoFaults};
 use bitlevel::{
     AlgorithmTriplet, ArchitectureReport, BitMatmulArray, BoxSet, DesignFlow, Expansion,
-    Interconnect, MappingMatrix, PaperDesign, PartitionError, RecordingSink, SimBackend,
+    Interconnect, MappingMatrix, NullSink, PaperDesign, PartitionError, RecordingSink, SimBackend,
     TraceEvent, WordLevelAlgorithm,
 };
 
@@ -159,6 +159,52 @@ fn check_timing_report(ctx: &str, (rep, sink): &Traced, oracle: &Traced, want: &
     assert_eq!(sink.rollup().faults, oracle_sink.rollup().faults, "{ctx}");
 }
 
+/// A warm rerun must answer exactly as the cold run did: the same report
+/// (the cache evidence aside, whose key must match), the same event stream
+/// with the cache query now a memory hit, and the same fire and fault
+/// counts. A warm lookup must never let a stored artefact stand in for a
+/// traced or faulted walk.
+fn check_warm_rerun(ctx: &str, (cold, cold_sink): &Traced, (warm, warm_sink): &Traced) {
+    let strip = |rep: &ArchitectureReport| {
+        let mut rep = rep.clone();
+        rep.cache = None;
+        format!("{rep:?}")
+    };
+    assert_eq!(strip(warm), strip(cold), "{ctx}: warm report");
+    assert_eq!(
+        warm.cache
+            .as_ref()
+            .map(|c| (c.key.as_str(), c.outcome.as_str())),
+        cold.cache.as_ref().map(|c| (c.key.as_str(), "memory-hit")),
+        "{ctx}: warm cache evidence"
+    );
+    let warmed: Vec<TraceEvent> = cold_sink
+        .events()
+        .iter()
+        .cloned()
+        .map(|e| match e {
+            TraceEvent::CacheQuery { key, outcome } if outcome == "miss-compiled" => {
+                TraceEvent::CacheQuery {
+                    key,
+                    outcome: "memory-hit".to_string(),
+                }
+            }
+            e => e,
+        })
+        .collect();
+    assert_eq!(warm_sink.events(), warmed.as_slice(), "{ctx}: warm events");
+    assert_eq!(
+        warm_sink.rollup().fire_total(),
+        cold_sink.rollup().fire_total(),
+        "{ctx}: warm fire count"
+    );
+    assert_eq!(
+        warm_sink.rollup().faults,
+        cold_sink.rollup().faults,
+        "{ctx}: warm fault count"
+    );
+}
+
 #[test]
 fn evaluate_structure_traced_dispatch() {
     let wide_reason = CompileError::TooManyColumns { m: 65 }.to_string();
@@ -190,22 +236,26 @@ fn evaluate_structure_traced_dispatch() {
         ),
     ];
     for (label, (alg, t, ic), fires, wants) in cases {
-        let run = |backend| {
+        let traced = |flow: &DesignFlow| {
             let mut sink = RecordingSink::new();
-            let rep = DesignFlow::matmul(2, 2)
-                .with_backend(backend)
-                .evaluate_structure_traced(label, &alg, &t, &ic, None, &mut sink);
+            let rep = flow.evaluate_structure_traced(label, &alg, &t, &ic, None, &mut sink);
             (rep, sink)
+        };
+        let run = |backend| traced(&DesignFlow::matmul(2, 2).with_backend(backend));
+        // A second flow, warmed by one untraced, faultless evaluation of the
+        // same triple before the traced run.
+        let warm_run = |backend| {
+            let flow = DesignFlow::matmul(2, 2).with_backend(backend);
+            flow.evaluate_structure(label, &alg, &t, &ic, None);
+            traced(&flow)
         };
         let oracle = run(INTERPRETED);
         assert_eq!(oracle.1.rollup().fire_total(), fires, "{label}");
         for (backend, want) in BACKENDS.into_iter().zip(&wants) {
-            check_timing_report(
-                &format!("{label} on {backend:?}"),
-                &run(backend),
-                &oracle,
-                want,
-            );
+            let ctx = format!("{label} on {backend:?}");
+            let cold = run(backend);
+            check_timing_report(&ctx, &cold, &oracle, want);
+            check_warm_rerun(&ctx, &cold, &warm_run(backend));
         }
     }
     // The non-causal schedule really is non-causal.
@@ -228,10 +278,19 @@ fn evaluate_faulted_dispatch() {
     }
     .resolve(&alg, &t);
     let wants = compilable_expectations(None);
-    let run = |backend, faults: &dyn Fn(&DesignFlow, &mut RecordingSink) -> ArchitectureReport| {
+    type Eval<'a> = &'a dyn Fn(&DesignFlow, &mut RecordingSink) -> ArchitectureReport;
+    let on = |flow: &DesignFlow, faults: Eval| {
         let mut sink = RecordingSink::new();
-        let rep = faults(&DesignFlow::matmul(2, 2).with_backend(backend), &mut sink);
+        let rep = faults(flow, &mut sink);
         (rep, sink)
+    };
+    let run = |backend, faults: Eval| on(&DesignFlow::matmul(2, 2).with_backend(backend), faults);
+    // A second flow, warmed by one untraced, faultless evaluation of the
+    // same triple before the run under test.
+    let warm_run = |backend, faults: Eval| {
+        let flow = DesignFlow::matmul(2, 2).with_backend(backend);
+        flow.evaluate_structure("fig4", &alg, &t, &ic, None);
+        on(&flow, faults)
     };
     let faultless = |flow: &DesignFlow, sink: &mut RecordingSink| {
         flow.evaluate_faulted("fig4", &t, &ic, None, sink, &NoFaults)
@@ -246,10 +305,24 @@ fn evaluate_faulted_dispatch() {
     assert_eq!(dead_oracle.1.rollup().faults, 2);
 
     for (backend, want) in BACKENDS.into_iter().zip(&wants) {
-        let ctx = format!("NoFaults on {backend:?}");
-        check_timing_report(&ctx, &run(backend, &faultless), &oracle, want);
-        let ctx = format!("dead PE on {backend:?}");
-        check_timing_report(&ctx, &run(backend, &dead), &dead_oracle, want);
+        for (faults, label, oracle) in [
+            (&faultless as Eval, "NoFaults", &oracle),
+            (&dead, "dead PE", &dead_oracle),
+        ] {
+            let ctx = format!("{label} on {backend:?}");
+            let cold = run(backend, faults);
+            check_timing_report(&ctx, &cold, oracle, want);
+            check_warm_rerun(&ctx, &cold, &warm_run(backend, faults));
+        }
+        // Untraced too, a live injector walks on a warm flow.
+        let flow = DesignFlow::matmul(2, 2).with_backend(backend);
+        flow.evaluate_structure("fig4", &alg, &t, &ic, None);
+        let warm = flow.evaluate_faulted("fig4", &t, &ic, None, &mut NullSink, &dead_pe);
+        assert_eq!(
+            warm.run.divergences_from(&dead_oracle.0.run),
+            Vec::<&str>::new(),
+            "untraced dead PE on {backend:?}"
+        );
     }
 }
 
