@@ -18,7 +18,10 @@
 //! * **Memory layer** — an `Arc`-shared LRU map; all clones of a
 //!   [`CompileCache`] (and therefore all clones of a `DesignFlow`) share one
 //!   store, so the explorer's search and its re-verification hit the same
-//!   entries.
+//!   entries. Each [`CacheEntry`] also keeps the timing-only artefacts that
+//!   are pure functions of its key — the Definition 4.1 feasibility report,
+//!   the faultless mapped report, and one LSGP partition layout — computed
+//!   on first use and dropped with the entry; they are never persisted.
 //! * **Disk layer** — optional (`--cache-dir`): entries persist as
 //!   checksummed `*.blsc` images (see `bitlevel_systolic::persist`), written
 //!   atomically (temp file + rename). Corrupted, truncated, or
@@ -30,13 +33,16 @@
 //!   the test suite.
 
 use bitlevel_ir::AlgorithmTriplet;
-use bitlevel_mapping::{Interconnect, MappingMatrix};
-use bitlevel_systolic::{CompileError, CompiledSchedule, SCHEDULE_FORMAT_VERSION};
+use bitlevel_mapping::{check_feasibility, FeasibilityReport, Interconnect, MappingMatrix};
+use bitlevel_systolic::{
+    CompileError, CompiledSchedule, MappedRunReport, PartitionError, PartitionedSchedule,
+    SCHEDULE_FORMAT_VERSION,
+};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 pub mod digest;
 
@@ -159,8 +165,86 @@ impl CacheStats {
     }
 }
 
+/// One resident memory-layer entry: a compiled schedule, its content key,
+/// and the timing-only artefacts derived from the same (structure,
+/// mapping, machine) triple. Each artefact is computed on first use and
+/// shared by every later hit — through any clone of the cache — until the
+/// entry is evicted or the memory layer cleared; a disk-hit promotion
+/// starts a fresh entry. None of them is persisted, so the `.blsc` format
+/// is the schedule's alone.
+pub struct CacheEntry {
+    key: CacheKey,
+    schedule: Arc<CompiledSchedule>,
+    feasibility: OnceLock<FeasibilityReport>,
+    report: OnceLock<MappedRunReport>,
+    /// At most one LSGP layout, for the worker count last requested: that
+    /// count arrives from untrusted clients, so the slot must stay bounded.
+    partition: Mutex<Option<Arc<PartitionedSchedule>>>,
+}
+
+impl CacheEntry {
+    fn new(key: CacheKey, schedule: Arc<CompiledSchedule>) -> Self {
+        CacheEntry {
+            key,
+            schedule,
+            feasibility: OnceLock::new(),
+            report: OnceLock::new(),
+            partition: Mutex::new(None),
+        }
+    }
+
+    /// The content key this entry was looked up (and stored) under.
+    pub fn key(&self) -> CacheKey {
+        self.key
+    }
+
+    /// The compiled schedule.
+    pub fn schedule(&self) -> &Arc<CompiledSchedule> {
+        &self.schedule
+    }
+
+    /// The Definition 4.1 verdict of the entry's triple. `alg`, `t` and `ic`
+    /// must be the triple the entry was looked up with (same content key);
+    /// the first call checks them, every later call returns that report.
+    pub fn feasibility(
+        &self,
+        alg: &AlgorithmTriplet,
+        t: &MappingMatrix,
+        ic: &Interconnect,
+    ) -> &FeasibilityReport {
+        self.feasibility.get_or_init(|| {
+            debug_assert_eq!(schedule_key(alg, t, ic), self.key, "foreign triple");
+            check_feasibility(t, alg, ic)
+        })
+    }
+
+    /// The faultless timing-only run, [`CompiledSchedule::mapped_report`].
+    pub fn mapped_report(&self) -> &MappedRunReport {
+        self.report.get_or_init(|| self.schedule.mapped_report())
+    }
+
+    /// The schedule clustered onto `workers` physical workers. The layout
+    /// for the most recently requested count is kept, so repeated requests
+    /// share one [`PartitionedSchedule`]; another count rebuilds and
+    /// replaces it. Errors are O(1) checks and are not stored.
+    pub fn partition(&self, workers: usize) -> Result<Arc<PartitionedSchedule>, PartitionError> {
+        let mut slot = self.partition.lock().expect("partition slot poisoned");
+        if let Some(part) = slot.as_ref() {
+            if part.stats().workers_requested == workers {
+                return Ok(Arc::clone(part));
+            }
+        }
+        let part = Arc::new(PartitionedSchedule::try_new(
+            Arc::clone(&self.schedule),
+            workers,
+        )?);
+        *slot = Some(Arc::clone(&part));
+        Ok(part)
+    }
+}
+
 struct MemStore {
-    map: HashMap<CacheKey, (u64, Arc<CompiledSchedule>)>,
+    map: HashMap<CacheKey, (u64, Arc<CacheEntry>)>,
     stamp: u64,
 }
 
@@ -290,21 +374,23 @@ impl CompileCache {
         self.inner.disk_dir.as_deref()
     }
 
-    /// The content key the cache would use for this triple.
-    pub fn key_for(
+    /// [`CompileCache::get_or_compile_entry`], projected onto the schedule.
+    pub fn get_or_compile(
         &self,
         alg: &AlgorithmTriplet,
         t: &MappingMatrix,
         ic: &Interconnect,
-    ) -> CacheKey {
-        schedule_key(alg, t, ic)
+    ) -> Result<(Arc<CompiledSchedule>, CacheOutcome), CompileError> {
+        self.get_or_compile_entry(alg, t, ic)
+            .map(|(entry, outcome)| (Arc::clone(entry.schedule()), outcome))
     }
 
     /// The lookup-or-compile entry point: memory, then disk, then
     /// [`CompiledSchedule::try_compile`]. Compile *errors* are returned
     /// (and not cached — `try_compile` rejects oversized inputs in O(1), so
     /// negative caching would buy nothing); compiled schedules are inserted
-    /// into memory and written through to disk when configured.
+    /// into memory and written through to disk when configured. The key is
+    /// hashed once per lookup and comes back as [`CacheEntry::key`].
     ///
     /// Lookups are **single-flight**: when several threads miss on the same
     /// key at once, exactly one of them compiles (or reads disk) while the
@@ -313,17 +399,17 @@ impl CompileCache {
     /// evaluation service's concurrency tests counter-assert. Distinct keys
     /// never wait on each other, and a leader that errors (or panics)
     /// releases its followers to retry.
-    pub fn get_or_compile(
+    pub fn get_or_compile_entry(
         &self,
         alg: &AlgorithmTriplet,
         t: &MappingMatrix,
         ic: &Interconnect,
-    ) -> Result<(Arc<CompiledSchedule>, CacheOutcome), CompileError> {
-        let key = self.key_for(alg, t, ic);
+    ) -> Result<(Arc<CacheEntry>, CacheOutcome), CompileError> {
+        let key = schedule_key(alg, t, ic);
         loop {
-            if let Some(sched) = self.lookup_memory(&key) {
+            if let Some(entry) = self.lookup_memory(&key) {
                 self.inner.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((sched, CacheOutcome::MemoryHit));
+                return Ok((entry, CacheOutcome::MemoryHit));
             }
             // Claim the key, or wait for the thread that already has.
             {
@@ -346,16 +432,15 @@ impl CompileCache {
                 key,
             };
             if let Some(sched) = self.lookup_disk(&key) {
-                let sched = Arc::new(sched);
-                self.insert_memory(key, Arc::clone(&sched));
+                let entry = self.insert_memory(key, sched);
                 self.inner.disk_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((sched, CacheOutcome::DiskHit));
+                return Ok((entry, CacheOutcome::DiskHit));
             }
-            let sched = Arc::new(CompiledSchedule::try_compile(alg, t, ic)?);
+            let sched = CompiledSchedule::try_compile(alg, t, ic)?;
             self.inner.misses.fetch_add(1, Ordering::Relaxed);
-            self.insert_memory(key, Arc::clone(&sched));
-            self.write_disk(&key, &sched);
-            return Ok((sched, CacheOutcome::Miss));
+            let entry = self.insert_memory(key, sched);
+            self.write_disk(&key, entry.schedule());
+            return Ok((entry, CacheOutcome::Miss));
         }
     }
 
@@ -389,21 +474,23 @@ impl CompileCache {
         self.inner.mem.lock().expect("cache poisoned").map.clear();
     }
 
-    fn lookup_memory(&self, key: &CacheKey) -> Option<Arc<CompiledSchedule>> {
+    fn lookup_memory(&self, key: &CacheKey) -> Option<Arc<CacheEntry>> {
         let mut mem = self.inner.mem.lock().expect("cache poisoned");
         mem.stamp += 1;
         let stamp = mem.stamp;
-        mem.map.get_mut(key).map(|(s, sched)| {
+        mem.map.get_mut(key).map(|(s, entry)| {
             *s = stamp;
-            Arc::clone(sched)
+            Arc::clone(entry)
         })
     }
 
-    fn insert_memory(&self, key: CacheKey, sched: Arc<CompiledSchedule>) {
+    /// Publishes a fresh entry for `sched` (evicting beyond capacity).
+    fn insert_memory(&self, key: CacheKey, sched: CompiledSchedule) -> Arc<CacheEntry> {
+        let entry = Arc::new(CacheEntry::new(key, Arc::new(sched)));
         let mut mem = self.inner.mem.lock().expect("cache poisoned");
         mem.stamp += 1;
         let stamp = mem.stamp;
-        mem.map.insert(key, (stamp, sched));
+        mem.map.insert(key, (stamp, Arc::clone(&entry)));
         while mem.map.len() > self.inner.capacity {
             let oldest = mem
                 .map
@@ -414,6 +501,7 @@ impl CompileCache {
             mem.map.remove(&oldest);
             self.inner.evictions.fetch_add(1, Ordering::Relaxed);
         }
+        entry
     }
 
     fn entry_path(&self, key: &CacheKey) -> Option<PathBuf> {
@@ -520,17 +608,16 @@ mod tests {
 
     #[test]
     fn key_is_content_based_not_identity_based() {
-        let cache = CompileCache::new();
         let (alg, t, ic) = triple(3);
         let (alg_b, t_b, ic_b) = triple(3); // fresh, equal values
         assert_eq!(
-            cache.key_for(&alg, &t, &ic),
-            cache.key_for(&alg_b, &t_b, &ic_b)
+            schedule_key(&alg, &t, &ic),
+            schedule_key(&alg_b, &t_b, &ic_b)
         );
         let other = PaperDesign::NearestNeighbour;
         assert_ne!(
-            cache.key_for(&alg, &t, &ic),
-            cache.key_for(&alg, &other.mapping(3), &other.interconnect(3))
+            schedule_key(&alg, &t, &ic),
+            schedule_key(&alg, &other.mapping(3), &other.interconnect(3))
         );
     }
 
@@ -572,8 +659,9 @@ mod tests {
         let ic = Interconnect::new(bitlevel_linalg_imat(&[&[1, 0], &[0, 1]]));
         let err = cache.get_or_compile(&alg, &t, &ic).unwrap_err();
         assert_eq!(err, CompileError::TooManyColumns { m: 65 });
-        // Errors count as misses (a compile was attempted) but are not cached.
-        assert_eq!(cache.stats().resident, 0);
+        // Errors are neither counted as misses nor cached.
+        let s = cache.stats();
+        assert_eq!((s.misses, s.resident), (0, 0));
     }
 
     fn bitlevel_linalg_ivec<const N: usize>(v: [i64; N]) -> bitlevel_linalg::IVec {
@@ -660,7 +748,7 @@ mod tests {
         let (alg, t, ic) = triple(3);
         let cache = CompileCache::with_disk_dir(&dir);
         cache.get_or_compile(&alg, &t, &ic).unwrap();
-        let path = cache.entry_path(&cache.key_for(&alg, &t, &ic)).unwrap();
+        let path = cache.entry_path(&schedule_key(&alg, &t, &ic)).unwrap();
         // Corrupt the persisted image, drop memory, and look up again.
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
@@ -679,6 +767,98 @@ mod tests {
         let (_, o) = cache.get_or_compile(&alg, &t, &ic).unwrap();
         assert_eq!(o, CacheOutcome::DiskHit);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The three stored artefacts of an entry, as addresses.
+    fn artefacts(entry: &CacheEntry, workers: usize) -> [*const (); 3] {
+        let (alg, t, ic) = triple(3);
+        [
+            entry.feasibility(&alg, &t, &ic) as *const _ as *const (),
+            entry.mapped_report() as *const _ as *const (),
+            Arc::as_ptr(&entry.partition(workers).unwrap()) as *const (),
+        ]
+    }
+
+    #[test]
+    fn entry_artefacts_are_computed_once_and_shared_by_hits_and_clones() {
+        let cache = CompileCache::new();
+        let (alg, t, ic) = triple(3);
+        let (first, o) = cache.get_or_compile_entry(&alg, &t, &ic).unwrap();
+        assert_eq!(o, CacheOutcome::Miss);
+        assert_eq!(first.key(), schedule_key(&alg, &t, &ic));
+        assert!(first.feasibility(&alg, &t, &ic).is_feasible());
+        assert_eq!(
+            first
+                .mapped_report()
+                .divergences_from(&first.schedule().mapped_report()),
+            Vec::<&str>::new()
+        );
+        let shared = artefacts(&first, 2);
+        let (hit, o) = cache.clone().get_or_compile_entry(&alg, &t, &ic).unwrap();
+        assert_eq!(o, CacheOutcome::MemoryHit);
+        assert!(
+            Arc::ptr_eq(&first, &hit),
+            "a hit returns the resident entry"
+        );
+        assert_eq!(artefacts(&hit, 2), shared, "hits share every artefact");
+        let (sched, _) = cache.get_or_compile(&alg, &t, &ic).unwrap();
+        assert!(Arc::ptr_eq(&sched, first.schedule()));
+    }
+
+    #[test]
+    fn eviction_clearing_and_disk_promotion_start_fresh_entries() {
+        let (alg, t, ic) = triple(3);
+        let (alg2, t2, ic2) = triple(2);
+        let fresh_after = |cache: &CompileCache, drop_entry: &dyn Fn(&CompileCache)| {
+            let (old, _) = cache.get_or_compile_entry(&alg, &t, &ic).unwrap();
+            let old_artefacts = artefacts(&old, 2);
+            drop_entry(cache);
+            // `old` stays alive, so a fresh entry cannot reuse its addresses.
+            let (new, o) = cache.get_or_compile_entry(&alg, &t, &ic).unwrap();
+            assert!(!Arc::ptr_eq(&old, &new));
+            let new_artefacts = artefacts(&new, 2);
+            for (a, b) in old_artefacts.iter().zip(&new_artefacts) {
+                assert_ne!(a, b, "a fresh entry recomputes its artefacts");
+            }
+            o
+        };
+        let lru = CompileCache::with_capacity(1);
+        let evict = |c: &CompileCache| {
+            c.get_or_compile(&alg2, &t2, &ic2).unwrap();
+        };
+        assert_eq!(fresh_after(&lru, &evict), CacheOutcome::Miss);
+        assert_eq!(lru.stats().evictions, 2);
+
+        let cleared = CompileCache::new();
+        let clear = |c: &CompileCache| c.clear_memory();
+        assert_eq!(fresh_after(&cleared, &clear), CacheOutcome::Miss);
+
+        let dir = std::env::temp_dir().join(format!("blc-fresh-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let disk = CompileCache::with_disk_dir(&dir);
+        assert_eq!(fresh_after(&disk, &clear), CacheOutcome::DiskHit);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn partition_slot_keeps_one_layout_for_the_last_requested_count() {
+        let cache = CompileCache::new();
+        let (alg, t, ic) = triple(3);
+        let (entry, _) = cache.get_or_compile_entry(&alg, &t, &ic).unwrap();
+        let mut layouts: Vec<std::sync::Weak<PartitionedSchedule>> = Vec::new();
+        for workers in [1, 2, 3, 2] {
+            let part = entry.partition(workers).unwrap();
+            let built = PartitionedSchedule::try_new(Arc::clone(entry.schedule()), workers);
+            assert_eq!(part.stats(), built.unwrap().stats(), "workers {workers}");
+            assert!(Arc::ptr_eq(&part, &entry.partition(workers).unwrap()));
+            layouts.push(Arc::downgrade(&part));
+            drop(part);
+            let resident = layouts.iter().filter(|w| w.strong_count() > 0).count();
+            assert_eq!(resident, 1, "one layout resident after workers {workers}");
+        }
+        // Errors are O(1), not stored, and leave the resident layout alone.
+        assert_eq!(entry.partition(0).unwrap_err(), PartitionError::ZeroWorkers);
+        assert_eq!(layouts[3].strong_count(), 1);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! 4. **simulate** the resulting architecture cycle-accurately and, for
 //!    matmul, bit-exactly.
 
-use bitlevel_cache::{CacheStats, CompileCache};
+use bitlevel_cache::{CacheEntry, CacheStats, CompileCache};
 use bitlevel_depanal::{compose, Expansion};
 use bitlevel_ir::{AlgorithmTriplet, WordLevelAlgorithm};
 use bitlevel_linalg::IMat;
@@ -480,6 +480,12 @@ impl DesignFlow {
     /// check, then the mapped run on the engine
     /// [`DesignFlow::resolve_engine`] picks. [`NoFaults`] makes it the
     /// faultless evaluation.
+    ///
+    /// Both results are pure functions of the cache key, so a compiled
+    /// engine takes the feasibility verdict from its cache entry, and an
+    /// untraced, faultless run takes the entry's mapped report instead of
+    /// walking. A live sink or injector always walks: its events and
+    /// injected faults are the point of the call.
     #[allow(clippy::too_many_arguments)]
     fn evaluate_structure_faulted<K: TraceSink, F: FaultInjector<()>>(
         &self,
@@ -491,12 +497,20 @@ impl DesignFlow {
         sink: &mut K,
         faults: &F,
     ) -> ArchitectureReport {
-        let rep = check_feasibility(t, alg, ic);
         let resolved = self.resolve_engine(alg, t, ic, self.fallback_origin(false), sink);
-        let run = match &resolved.engine {
-            Engine::Interpreted => simulate_mapped_faulted(alg, t, ic, sink, faults),
-            Engine::Compiled(sched) => sched.mapped_report_faulted(sink, faults),
-            Engine::Partitioned(part) => part.mapped_report_faulted(sink, faults),
+        let checked;
+        let rep = match &resolved.entry {
+            Some(entry) => entry.feasibility(alg, t, ic),
+            None => {
+                checked = check_feasibility(t, alg, ic);
+                &checked
+            }
+        };
+        let run = match (&resolved.engine, &resolved.entry) {
+            (_, Some(entry)) if !K::ENABLED && !F::ENABLED => entry.mapped_report().clone(),
+            (Engine::Interpreted, _) => simulate_mapped_faulted(alg, t, ic, sink, faults),
+            (Engine::Compiled(sched), _) => sched.mapped_report_faulted(sink, faults),
+            (Engine::Partitioned(part), _) => part.mapped_report_faulted(sink, faults),
         };
         ArchitectureReport {
             name: name.to_string(),
@@ -1029,7 +1043,8 @@ impl DesignFlow {
     ///
     /// Looks the compiled schedule up in the flow's [`CompileCache`] by
     /// content key (emitting a [`TraceEvent::CacheQuery`]) and, under
-    /// [`SimBackend::Partitioned`], clusters it onto the worker pool.
+    /// [`SimBackend::Partitioned`], takes the entry's layout for the
+    /// requested worker pool.
     /// Degradation is graceful and recorded in the returned
     /// [`BackendUsed`]: a structure that does not compile runs interpreted
     /// (a [`TraceEvent::BackendFallback`] tagged `from`), and a schedule the
@@ -1047,7 +1062,7 @@ impl DesignFlow {
             SimBackend::Compiled | SimBackend::CompiledBatch { .. } => None,
             SimBackend::Partitioned { workers } => Some(workers),
         };
-        let (sched, outcome) = match self.cache.get_or_compile(alg, t, ic) {
+        let (entry, outcome) = match self.cache.get_or_compile_entry(alg, t, ic) {
             Ok(found) => found,
             Err(e) => {
                 let reason = e.to_string();
@@ -1056,7 +1071,7 @@ impl DesignFlow {
             }
         };
         let cache = CacheActivity {
-            key: self.cache.key_for(alg, t, ic).hex(),
+            key: entry.key().hex(),
             outcome: outcome.to_string(),
             stats: self.cache.stats(),
         };
@@ -1066,8 +1081,8 @@ impl DesignFlow {
                 outcome: cache.outcome.clone(),
             });
         }
-        let partitioned = workers.map(|k| PartitionedSchedule::try_new(Arc::clone(&sched), k));
-        let (engine, used, partition) = match partitioned {
+        let sched = Arc::clone(entry.schedule());
+        let (engine, used, partition) = match workers.map(|k| entry.partition(k)) {
             None => (Engine::Compiled(sched), BackendUsed::Compiled, None),
             Some(Ok(part)) => {
                 let used = BackendUsed::Partitioned {
@@ -1091,6 +1106,7 @@ impl DesignFlow {
             used,
             cache: Some(cache),
             partition,
+            entry: Some(entry),
         }
     }
 
@@ -1112,8 +1128,9 @@ enum Engine {
     Interpreted,
     /// The compiled dense-slot schedule, shared through the compile cache.
     Compiled(Arc<CompiledSchedule>),
-    /// That schedule clustered onto the LSGP worker pool.
-    Partitioned(PartitionedSchedule),
+    /// That schedule clustered onto the LSGP worker pool, shared through
+    /// its cache entry.
+    Partitioned(Arc<PartitionedSchedule>),
 }
 
 impl Engine {
@@ -1143,6 +1160,9 @@ struct Resolved {
     used: BackendUsed,
     cache: Option<CacheActivity>,
     partition: Option<PartitionStats>,
+    /// The cache entry the compiled engine came from; `None` when
+    /// interpreted.
+    entry: Option<Arc<CacheEntry>>,
 }
 
 impl Resolved {
@@ -1152,6 +1172,7 @@ impl Resolved {
             used,
             cache: None,
             partition: None,
+            entry: None,
         }
     }
 }
