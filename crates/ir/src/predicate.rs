@@ -49,14 +49,20 @@ impl Atom {
     /// Evaluates the atom at point `j` inside index set `set` (needed to
     /// resolve [`Rhs::LowerBound`]/[`Rhs::UpperBound`]).
     pub fn eval(&self, j: &IVec, set: &BoxSet) -> bool {
+        self.holds_at(j[self.axis], set)
+    }
+
+    /// Evaluates the atom where its axis takes `value` — every point of
+    /// `set` with that coordinate agrees, whatever its other coordinates.
+    pub fn holds_at(&self, value: i64, set: &BoxSet) -> bool {
         let rhs = match self.rhs {
             Rhs::Const(c) => c,
             Rhs::LowerBound => set.lower()[self.axis],
             Rhs::UpperBound => set.upper()[self.axis],
         };
         match self.cmp {
-            Cmp::Eq => j[self.axis] == rhs,
-            Cmp::Ne => j[self.axis] != rhs,
+            Cmp::Eq => value == rhs,
+            Cmp::Ne => value != rhs,
         }
     }
 
