@@ -53,6 +53,7 @@ use bitlevel_fault::{
 };
 use bitlevel_ir::WordLevelAlgorithm;
 use bitlevel_mapping::{word_level_total_time, PaperDesign};
+use bitlevel_serve::Json;
 use bitlevel_systolic::{
     run_clocked, simulate_mapped_compiled, BitMatmulArray, CompiledSchedule,
     MatmulExpansionIICells, MatmulLaneCells, PartitionedSchedule, RecordingSink, MAX_LANES,
@@ -915,9 +916,26 @@ pub fn cache_csv(rows: &[CacheSweepRow]) -> String {
 }
 
 /// JSON rendering of the cache sweep (the `--sweep cache --json` export CI
-/// stores as `BENCH_cache.json`).
+/// stores as `BENCH_cache.json`), written with the service's own JSON writer
+/// so the export is not empty in a build against the `serde_json` stub.
 pub fn cache_json(rows: &[CacheSweepRow]) -> String {
-    serde_json::to_string_pretty(rows).expect("cache rows serialize")
+    let ns = |v: u128| Json::from(u64::try_from(v).unwrap_or(u64::MAX));
+    let rows = rows.iter().map(|r| {
+        Json::obj(vec![
+            ("design", Json::str(r.design.as_str())),
+            ("u", Json::from(r.u)),
+            ("p", Json::from(r.p)),
+            ("points", Json::from(r.points)),
+            ("cold_ns", ns(r.cold_ns)),
+            ("warm_mem_ns", ns(r.warm_mem_ns)),
+            ("warm_disk_ns", ns(r.warm_disk_ns)),
+            ("mem_speedup", Json::from(r.mem_speedup)),
+            ("disk_speedup", Json::from(r.disk_speedup)),
+            ("compiles", Json::from(r.compiles)),
+            ("identical", Json::from(r.identical)),
+        ])
+    });
+    Json::Arr(rows.collect()).render()
 }
 
 /// Default sizes for the cache sweep: the paper's running example plus two
@@ -1643,5 +1661,23 @@ mod tests {
         let csv = cache_csv(&rows);
         assert_eq!(csv.lines().count(), 5);
         assert!(csv.starts_with("design,u,p,points,cold_ns,"));
+        let json = Json::parse(&cache_json(&rows)).expect("the export is valid JSON");
+        let exported = json.as_arr().expect("an array of rows");
+        assert_eq!(exported.len(), rows.len());
+        for (e, r) in exported.iter().zip(&rows) {
+            assert_eq!(
+                e.get("design").and_then(Json::as_str),
+                Some(r.design.as_str())
+            );
+            assert_eq!(
+                e.get("cold_ns").and_then(Json::as_u64),
+                Some(r.cold_ns as u64)
+            );
+            assert_eq!(e.get("compiles").and_then(Json::as_u64), Some(r.compiles));
+            assert_eq!(
+                e.get("identical").and_then(Json::as_bool),
+                Some(r.identical)
+            );
+        }
     }
 }
