@@ -29,10 +29,9 @@ use bitlevel_ir::{
     Access, AffineFn, BoxSet, Dependence, DependenceSet, LoopNest, OpKind, Statement,
 };
 use bitlevel_linalg::IVec;
-use serde::{Deserialize, Serialize};
 
 /// How the right-boundary partial sums `s(i₁, p+1)` are supplied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BoundaryPolicy {
     /// Exact product: `s(i₁, p+1) = c(i₁, p)` (row-end carry re-entry) and
     /// product bit `2p` taken from `c(p, p)`.
@@ -46,7 +45,7 @@ pub enum BoundaryPolicy {
 }
 
 /// The add-shift multiplier for word length `p`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddShift {
     /// Word length `p ≥ 1`.
     pub p: usize,

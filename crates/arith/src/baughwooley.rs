@@ -17,10 +17,9 @@
 
 use crate::bitcell::{full_add, Bit};
 use bitlevel_ir::{BoxSet, Dependence, DependenceSet};
-use serde::{Deserialize, Serialize};
 
 /// Baugh–Wooley signed multiplier for `p`-bit two's-complement operands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BaughWooley {
     /// Operand width `p ≥ 2` (two's complement).
     pub p: usize,

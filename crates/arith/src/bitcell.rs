@@ -296,7 +296,7 @@ mod tests {
         *state = state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        let hi = (*state >> 33) as u64;
+        let hi = *state >> 33;
         hi ^ (*state << 31)
     }
 

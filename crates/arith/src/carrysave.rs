@@ -17,10 +17,9 @@
 use crate::bitcell::{from_bits, full_add, to_bits, Bit};
 use bitlevel_ir::{BoxSet, Dependence, DependenceSet};
 use bitlevel_linalg::IVec;
-use serde::{Deserialize, Serialize};
 
 /// The carry-save multiplier for word length `p`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CarrySave {
     /// Word length `p ≥ 1`.
     pub p: usize,

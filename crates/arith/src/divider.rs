@@ -28,10 +28,9 @@
 
 use crate::bitcell::{full_add, to_bits, Bit};
 use bitlevel_ir::{BoxSet, Dependence, DependenceSet, Predicate};
-use serde::{Deserialize, Serialize};
 
 /// A non-restoring divider producing a `p`-bit quotient.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NonRestoringDivider {
     /// Quotient width `p ≥ 1` (divisor is also `p` bits).
     pub p: usize,

@@ -14,10 +14,9 @@
 
 use crate::bitcell::{from_bits, to_bits, Bit};
 use bitlevel_linalg::IVec;
-use serde::{Deserialize, Serialize};
 
 /// A Kogge–Stone carry-lookahead adder for `p`-bit operands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CarryLookahead {
     /// Operand width `p ≥ 1`.
     pub p: usize,

@@ -12,10 +12,9 @@ use crate::bitcell::{from_bits, full_add, to_bits};
 use bitlevel_ir::{
     Access, AffineFn, BoxSet, Dependence, DependenceSet, LoopNest, OpKind, Statement,
 };
-use serde::{Deserialize, Serialize};
 
 /// A `p`-bit ripple-carry adder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RippleAdder {
     /// Word length `p ≥ 1`.
     pub p: usize,
@@ -103,7 +102,7 @@ impl RippleAdder {
 /// A carry-save (3:2 compressor) adder stage: reduces three `p`-bit numbers
 /// to a sum vector and a carry vector in **one** cell delay, independent of
 /// `p`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CarrySaveAdder {
     /// Word length `p ≥ 1`.
     pub p: usize,

@@ -1911,6 +1911,7 @@ mod tests {
 
     #[test]
     fn traced_e6_emits_a_valid_chrome_trace_of_the_fig4_run() {
+        use bitlevel_json::Json;
         use bitlevel_systolic::RecordingSink;
         let mut sink = RecordingSink::new();
         let outcome = run_experiment_traced("e6", &mut sink).expect("known id");
@@ -1919,16 +1920,15 @@ mod tests {
         // 13 cycles of eq. (4.5).
         assert_eq!(sink.rollup().fire_total(), 243);
         assert_eq!(sink.rollup().cycle_span(), 13);
-        if serde_json::to_string(&1i64)
-            .map(|s| s.is_empty())
-            .unwrap_or(true)
-        {
-            return; // offline serde_json stub: no real JSON to validate
-        }
-        let json: serde_json::Value =
-            serde_json::from_str(&sink.to_chrome_trace()).expect("valid JSON");
-        let events = json["traceEvents"].as_array().expect("traceEvents array");
-        let fires = events.iter().filter(|e| e["ph"] == "X").count();
+        let json = Json::parse(&sink.to_chrome_trace()).expect("valid JSON");
+        let events = json
+            .get("traceEvents")
+            .and_then(Json::as_arr)
+            .expect("traceEvents array");
+        let fires = events
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+            .count();
         assert_eq!(fires, 243, "one complete event per fired point");
     }
 

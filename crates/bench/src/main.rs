@@ -12,7 +12,8 @@
 //!                    (e6, e7, e14, e15) to <path>: Chrome-trace JSON, or
 //!                    CSV when the path ends in .csv; requires --exp
 //!   --markdown       emit markdown tables (for EXPERIMENTS.md)
-//!   --json           emit the record tables as JSON
+//!   --json           emit the record tables as JSON, one compact object
+//!                    per table per line
 //!   --sweep <name>   emit a CSV data series instead:
 //!                    speedup | analysis | utilization | engine | wavefront |
 //!                    frontier | faults | batch | cache | faultbatch |
@@ -227,10 +228,7 @@ fn main() {
     for o in &outcomes {
         all_ok &= o.passed();
         if json {
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&o.table).expect("serializable")
-            );
+            println!("{}", o.table.to_json());
         } else if markdown {
             println!("{}", o.table.render_markdown());
         } else {

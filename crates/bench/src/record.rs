@@ -2,12 +2,13 @@
 //!
 //! Every experiment produces rows of the form *(quantity, paper value,
 //! measured value, verdict)*; this module renders them as aligned text (for
-//! the terminal) and as markdown (for EXPERIMENTS.md).
+//! the terminal), as markdown (for EXPERIMENTS.md) and as JSON (for
+//! `experiments --json`).
 
-use serde::Serialize;
+use bitlevel_json::Json;
 
 /// One paper-vs-measured comparison row.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Record {
     /// What is being compared (e.g. "cycles, u=3 p=3").
     pub quantity: String,
@@ -61,7 +62,7 @@ impl Record {
 }
 
 /// A titled collection of records.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RecordTable {
     /// Experiment id and title, e.g. "E6: Fig. 4 architecture".
     pub title: String,
@@ -137,6 +138,24 @@ impl RecordTable {
         }
         out
     }
+
+    /// Compact single-line JSON rendering: `{"title":…,"rows":[…]}` with
+    /// each row keyed `quantity`, `paper`, `measured`, `ok`.
+    pub fn to_json(&self) -> String {
+        let rows = self.rows.iter().map(|r| {
+            Json::obj(vec![
+                ("quantity", Json::str(r.quantity.as_str())),
+                ("paper", Json::str(r.paper.as_str())),
+                ("measured", Json::str(r.measured.as_str())),
+                ("ok", Json::from(r.ok)),
+            ])
+        });
+        Json::obj(vec![
+            ("title", Json::str(self.title.as_str())),
+            ("rows", Json::Arr(rows.collect())),
+        ])
+        .render()
+    }
 }
 
 #[cfg(test)]
@@ -160,6 +179,14 @@ mod tests {
         assert!(text.contains("yes"));
         let md = t.render_markdown();
         assert!(md.contains("| cycles | 13 | 13 | yes |"), "{md}");
+        let line = t.to_json();
+        assert!(!line.contains('\n'), "{line}");
+        let json = Json::parse(&line).expect("valid JSON");
+        assert_eq!(json.get("title").and_then(Json::as_str), Some("E0: smoke"));
+        let rows = json.get("rows").and_then(Json::as_arr).unwrap();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].get("measured").and_then(Json::as_str), Some("13"));
+        assert_eq!(rows[1].get("ok").and_then(Json::as_bool), Some(true));
     }
 
     #[test]

@@ -52,18 +52,17 @@ use bitlevel_fault::{
     batched_single_fault_campaign, single_fault_campaign, single_fault_campaign_with_cache,
 };
 use bitlevel_ir::WordLevelAlgorithm;
+use bitlevel_json::Json;
 use bitlevel_mapping::{word_level_total_time, PaperDesign};
-use bitlevel_serve::Json;
 use bitlevel_systolic::{
     run_clocked, simulate_mapped_compiled, BitMatmulArray, CompiledSchedule,
     MatmulExpansionIICells, MatmulLaneCells, PartitionedSchedule, RecordingSink, MAX_LANES,
 };
 use rayon::prelude::*;
-use serde::Serialize;
 use std::time::Instant;
 
 /// One row of the speedup sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SpeedupRow {
     /// Matrix dimension.
     pub u: i64,
@@ -141,7 +140,7 @@ pub fn speedup_csv(rows: &[SpeedupRow]) -> String {
 }
 
 /// One row of the analysis-time sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AnalysisTimeRow {
     /// Matrix dimension.
     pub u: i64,
@@ -192,7 +191,7 @@ pub fn analysis_time_csv(rows: &[AnalysisTimeRow]) -> String {
 }
 
 /// One row of the utilisation sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct UtilizationRow {
     /// Matrix dimension.
     pub u: i64,
@@ -260,7 +259,7 @@ pub fn utilization_csv(rows: &[UtilizationRow]) -> String {
 }
 
 /// One row of the engine sweep (interpreted vs compiled clocked execution).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct EngineRow {
     /// Matrix dimension.
     pub u: i64,
@@ -366,7 +365,7 @@ pub fn engine_csv(rows: &[EngineRow]) -> String {
 
 /// One row of the wavefront sweep: how many index points each paper design
 /// fires in one (rebased) cycle, measured through the trace layer.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct WavefrontRow {
     /// Cycle, rebased so each design's first firing lands on 0.
     pub cycle: i64,
@@ -423,7 +422,7 @@ pub fn wavefront_csv(rows: &[WavefrontRow]) -> String {
 /// One row of the faults sweep: one exhaustive single-fault campaign (every
 /// index point × every faultable bundle bit, as a transient flip) on one
 /// paper design at one `(u, p)` size.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FaultSweepRow {
     /// Matrix dimension.
     pub u: usize,
@@ -506,7 +505,19 @@ pub fn faults_csv(rows: &[FaultSweepRow]) -> String {
 /// JSON rendering of the faults sweep (the `--sweep faults --json` export;
 /// the CI smoke step validates the partition and zero-SDC bar on it).
 pub fn faults_json(rows: &[FaultSweepRow]) -> String {
-    serde_json::to_string_pretty(rows).expect("fault rows serialize")
+    rows_json(rows, |r| {
+        vec![
+            ("u", Json::from(r.u)),
+            ("p", Json::from(r.p)),
+            ("design", Json::str(r.design.as_str())),
+            ("total", Json::from(r.total)),
+            ("masked", Json::from(r.masked)),
+            ("detected", Json::from(r.detected)),
+            ("sdc", Json::from(r.sdc)),
+            ("engine_mismatches", Json::from(r.engine_mismatches)),
+            ("detection_coverage", Json::from(r.detection_coverage)),
+        ]
+    })
 }
 
 /// Default sizes for the faults sweep: the paper's running example size. The
@@ -519,7 +530,7 @@ pub fn default_fault_sizes() -> Vec<(usize, usize)> {
 /// One row of the frontier sweep: one Pareto-optimal design of the joint
 /// `(S, Π, machine)` exploration at one `(u, p)` size, with its verification
 /// evidence.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FrontierRow {
     /// Matrix dimension.
     pub u: i64,
@@ -608,7 +619,20 @@ pub fn frontier_csv(rows: &[FrontierRow]) -> String {
 /// JSON rendering of the frontier sweep (the `--sweep frontier --json`
 /// export; validated for JSON well-formedness by the CI smoke step).
 pub fn frontier_json(rows: &[FrontierRow]) -> String {
-    serde_json::to_string_pretty(rows).expect("frontier rows serialize")
+    rows_json(rows, |r| {
+        vec![
+            ("u", Json::from(r.u)),
+            ("p", Json::from(r.p)),
+            ("time", Json::from(r.time)),
+            ("processors", Json::from(r.processors)),
+            ("max_wire_length", Json::from(r.max_wire_length)),
+            ("machine", Json::str(r.machine.as_str())),
+            ("space", Json::str(r.space.as_str())),
+            ("schedule", Json::str(r.schedule.as_str())),
+            ("backend", Json::str(r.backend.as_str())),
+            ("verified", Json::from(r.verified)),
+        ]
+    })
 }
 
 /// Default sizes for the frontier sweep: the smallest size (where the joint
@@ -650,7 +674,7 @@ pub fn default_engine_sizes() -> Vec<(i64, i64)> {
 /// `--sweep batch`; the CI smoke step checks that throughput is monotone
 /// nondecreasing in width and uploads the JSON as a `BENCH_*.json` perf
 /// snapshot).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BatchRow {
     /// Design label.
     pub design: String,
@@ -781,7 +805,21 @@ pub fn batch_csv(rows: &[BatchRow]) -> String {
 /// JSON rendering of the batch sweep (the `--sweep batch --json` export CI
 /// stores as `BENCH_batch.json`).
 pub fn batch_json(rows: &[BatchRow]) -> String {
-    serde_json::to_string_pretty(rows).expect("batch rows serialize")
+    rows_json(rows, |r| {
+        vec![
+            ("design", Json::str(r.design.as_str())),
+            ("u", Json::from(r.u)),
+            ("p", Json::from(r.p)),
+            ("width", Json::from(r.width)),
+            ("instances", Json::from(r.instances)),
+            ("walks", Json::from(r.walks)),
+            ("cycles", Json::from(r.cycles)),
+            ("wall_ns", ns(r.wall_ns)),
+            ("instances_per_sec", Json::from(r.instances_per_sec)),
+            ("seed", Json::from(r.seed)),
+            ("identical", Json::from(r.identical)),
+        ]
+    })
 }
 
 /// Default widths for the batch sweep: one lane (the scalar baseline) up to
@@ -797,7 +835,7 @@ pub fn default_batch_instances() -> usize {
 
 /// One row of the cache sweep: the cold/warm trajectory of acquiring one
 /// design's compiled schedule through the content-hashed compile cache.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CacheSweepRow {
     /// Design label.
     pub design: String,
@@ -916,12 +954,10 @@ pub fn cache_csv(rows: &[CacheSweepRow]) -> String {
 }
 
 /// JSON rendering of the cache sweep (the `--sweep cache --json` export CI
-/// stores as `BENCH_cache.json`), written with the service's own JSON writer
-/// so the export is not empty in a build against the `serde_json` stub.
+/// stores as `BENCH_cache.json`).
 pub fn cache_json(rows: &[CacheSweepRow]) -> String {
-    let ns = |v: u128| Json::from(u64::try_from(v).unwrap_or(u64::MAX));
-    let rows = rows.iter().map(|r| {
-        Json::obj(vec![
+    rows_json(rows, |r| {
+        vec![
             ("design", Json::str(r.design.as_str())),
             ("u", Json::from(r.u)),
             ("p", Json::from(r.p)),
@@ -933,9 +969,8 @@ pub fn cache_json(rows: &[CacheSweepRow]) -> String {
             ("disk_speedup", Json::from(r.disk_speedup)),
             ("compiles", Json::from(r.compiles)),
             ("identical", Json::from(r.identical)),
-        ])
-    });
-    Json::Arr(rows.collect()).render()
+        ]
+    })
 }
 
 /// Default sizes for the cache sweep: the paper's running example plus two
@@ -949,7 +984,7 @@ pub fn default_cache_sizes() -> Vec<(i64, i64)> {
 /// behind `--sweep faultbatch`; CI checks every row classifies identically
 /// to the scalar sweep, gates the width-64/width-1 gain, and stores the
 /// JSON as `BENCH_faultbatch.json`).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FaultBatchRow {
     /// Design label.
     pub design: String,
@@ -1067,7 +1102,25 @@ pub fn faultbatch_csv(rows: &[FaultBatchRow]) -> String {
 /// JSON rendering of the fault-batch sweep (the `--sweep faultbatch --json`
 /// export CI stores as `BENCH_faultbatch.json`).
 pub fn faultbatch_json(rows: &[FaultBatchRow]) -> String {
-    serde_json::to_string_pretty(rows).expect("fault-batch rows serialize")
+    rows_json(rows, |r| {
+        vec![
+            ("design", Json::str(r.design.as_str())),
+            ("u", Json::from(r.u)),
+            ("p", Json::from(r.p)),
+            ("seed", Json::from(r.seed)),
+            ("width", Json::from(r.width)),
+            ("cases", Json::from(r.cases)),
+            ("walks", Json::from(r.walks)),
+            ("wall_ns", ns(r.wall_ns)),
+            ("cases_per_sec", Json::from(r.cases_per_sec)),
+            ("scalar_wall_ns", ns(r.scalar_wall_ns)),
+            ("scalar_cases_per_sec", Json::from(r.scalar_cases_per_sec)),
+            ("masked", Json::from(r.masked)),
+            ("detected", Json::from(r.detected)),
+            ("sdc", Json::from(r.sdc)),
+            ("identical", Json::from(r.identical)),
+        ]
+    })
 }
 
 /// Default widths for the fault-batch sweep: one case per walk (the old
@@ -1081,7 +1134,7 @@ pub fn default_faultbatch_widths() -> Vec<usize> {
 /// behind `--sweep partition`; CI checks every row stays bit-identical to
 /// the compiled engine, gates the balanced makespan non-increasing in
 /// workers, and stores the JSON as `BENCH_partition.json`).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PartitionRow {
     /// Design label.
     pub design: String,
@@ -1240,7 +1293,25 @@ pub fn partition_csv(rows: &[PartitionRow]) -> String {
 /// JSON rendering of the partition sweep (the `--sweep partition --json`
 /// export CI stores as `BENCH_partition.json`).
 pub fn partition_json(rows: &[PartitionRow]) -> String {
-    serde_json::to_string_pretty(rows).expect("partition rows serialize")
+    rows_json(rows, |r| {
+        vec![
+            ("design", Json::str(r.design.as_str())),
+            ("u", Json::from(r.u)),
+            ("p", Json::from(r.p)),
+            ("seed", Json::from(r.seed)),
+            ("workers", Json::from(r.workers)),
+            ("virtual_pes", Json::from(r.virtual_pes)),
+            ("max_shard_pes", Json::from(r.max_shard_pes)),
+            ("cross_shard_tokens", Json::from(r.cross_shard_tokens)),
+            ("makespan", Json::from(r.makespan)),
+            ("balanced_makespan", Json::from(r.balanced_makespan)),
+            ("instances", Json::from(r.instances)),
+            ("cycles", Json::from(r.cycles)),
+            ("wall_ns", ns(r.wall_ns)),
+            ("instances_per_sec", Json::from(r.instances_per_sec)),
+            ("identical", Json::from(r.identical)),
+        ]
+    })
 }
 
 /// Default worker-pool sizes for the partition sweep: one worker (the
@@ -1258,7 +1329,7 @@ pub fn default_partition_instances() -> usize {
 /// NDJSON evaluation service on one `(design, u, p)` (the E22 series behind
 /// `--sweep serve`; CI stores the JSON as `BENCH_serve.json` and gates
 /// `warm_rps > cold_rps` per row).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ServeSweepRow {
     /// Design label.
     pub design: String,
@@ -1414,7 +1485,33 @@ pub fn serve_csv(rows: &[ServeSweepRow]) -> String {
 /// JSON rendering of the serve sweep (the `--sweep serve --json` export CI
 /// stores as `BENCH_serve.json`).
 pub fn serve_json(rows: &[ServeSweepRow]) -> String {
-    serde_json::to_string_pretty(rows).expect("serve rows serialize")
+    rows_json(rows, |r| {
+        vec![
+            ("design", Json::str(r.design.as_str())),
+            ("u", Json::from(r.u)),
+            ("p", Json::from(r.p)),
+            ("clients", Json::from(r.clients)),
+            ("requests", Json::from(r.requests)),
+            ("cold_ns", ns(r.cold_ns)),
+            ("warm_ns", ns(r.warm_ns)),
+            ("cold_rps", Json::from(r.cold_rps)),
+            ("warm_rps", Json::from(r.warm_rps)),
+            ("throughput_gain", Json::from(r.throughput_gain)),
+            ("compiles", Json::from(r.compiles)),
+            ("identical", Json::from(r.identical)),
+        ]
+    })
+}
+
+/// A JSON array with one object per row, keyed as `fields` lists them (the
+/// struct field names, in declaration order).
+fn rows_json<R>(rows: &[R], fields: impl Fn(&R) -> Vec<(&'static str, Json)>) -> String {
+    Json::Arr(rows.iter().map(|r| Json::obj(fields(r))).collect()).render()
+}
+
+/// A nanosecond count as a JSON integer, saturating at `u64::MAX`.
+fn ns(v: u128) -> Json {
+    Json::from(u64::try_from(v).unwrap_or(u64::MAX))
 }
 
 /// Default sizes for the serve sweep: the paper's running example plus a
@@ -1426,6 +1523,14 @@ pub fn default_serve_sizes() -> Vec<(i64, i64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Parses a `--json` export, checking it holds one object per row.
+    fn exported(json: &str, rows: usize) -> Vec<Json> {
+        let json = Json::parse(json).expect("the export is valid JSON");
+        let exported = json.as_arr().expect("an array of rows").to_vec();
+        assert_eq!(exported.len(), rows);
+        exported
+    }
 
     #[test]
     fn speedup_rows_have_paper_shape() {
@@ -1505,6 +1610,15 @@ mod tests {
         assert!(csv.starts_with("u,p,time,processors,max_wire_length,"));
         // CSV fields with internal commas are quoted.
         assert!(csv.contains("\"[1, 1, 1, 2, 1]\""));
+        let json = exported(&frontier_json(&rows), rows.len());
+        assert_eq!(
+            json[0].get("schedule").and_then(Json::as_str),
+            Some("[1, 1, 1, 2, 1]")
+        );
+        for e in &json {
+            assert_eq!(e.get("verified").and_then(Json::as_bool), Some(true));
+            assert_eq!(e.get("backend").and_then(Json::as_str), Some("compiled"));
+        }
     }
 
     #[test]
@@ -1523,6 +1637,11 @@ mod tests {
         let csv = faults_csv(&rows);
         assert_eq!(csv.lines().count(), 3);
         assert!(csv.starts_with("u,p,design,total,masked,detected,sdc,"));
+        for (e, r) in exported(&faults_json(&rows), rows.len()).iter().zip(&rows) {
+            assert_eq!(e.get("total").and_then(Json::as_u64), Some(r.total as u64));
+            assert_eq!(e.get("sdc").and_then(Json::as_u64), Some(0));
+            assert_eq!(e.get("engine_mismatches").and_then(Json::as_u64), Some(0));
+        }
     }
 
     #[test]
@@ -1561,6 +1680,14 @@ mod tests {
         let csv = batch_csv(&rows);
         assert_eq!(csv.lines().count(), 7);
         assert!(csv.starts_with("design,u,p,width,"));
+        for (e, r) in exported(&batch_json(&rows), rows.len()).iter().zip(&rows) {
+            assert_eq!(e.get("width").and_then(Json::as_u64), Some(r.width as u64));
+            assert_eq!(e.get("identical").and_then(Json::as_bool), Some(true));
+            assert_eq!(
+                e.get("instances_per_sec").and_then(Json::as_f64),
+                Some(r.instances_per_sec)
+            );
+        }
     }
 
     #[test]
@@ -1578,6 +1705,14 @@ mod tests {
         let csv = faultbatch_csv(&rows);
         assert_eq!(csv.lines().count(), 7);
         assert!(csv.starts_with("design,u,p,seed,width,"));
+        for (e, r) in exported(&faultbatch_json(&rows), rows.len())
+            .iter()
+            .zip(&rows)
+        {
+            assert_eq!(e.get("walks").and_then(Json::as_u64), Some(r.walks as u64));
+            assert_eq!(e.get("cases").and_then(Json::as_u64), Some(r.cases as u64));
+            assert_eq!(e.get("identical").and_then(Json::as_bool), Some(true));
+        }
     }
 
     #[test]
@@ -1614,6 +1749,20 @@ mod tests {
         let csv = partition_csv(&rows);
         assert_eq!(csv.lines().count(), 7);
         assert!(csv.starts_with("design,u,p,seed,workers,"));
+        for (e, r) in exported(&partition_json(&rows), rows.len())
+            .iter()
+            .zip(&rows)
+        {
+            assert_eq!(
+                e.get("workers").and_then(Json::as_u64),
+                Some(r.workers as u64)
+            );
+            assert_eq!(
+                e.get("balanced_makespan").and_then(Json::as_u64),
+                Some(r.balanced_makespan)
+            );
+            assert_eq!(e.get("identical").and_then(Json::as_bool), Some(true));
+        }
     }
 
     #[test]
@@ -1633,6 +1782,14 @@ mod tests {
         let csv = serve_csv(&rows);
         assert_eq!(csv.lines().count(), 3);
         assert!(csv.starts_with("design,u,p,clients,requests,cold_ns,"));
+        for (e, r) in exported(&serve_json(&rows), rows.len()).iter().zip(&rows) {
+            assert_eq!(
+                e.get("design").and_then(Json::as_str),
+                Some(r.design.as_str())
+            );
+            assert_eq!(e.get("compiles").and_then(Json::as_u64), Some(1));
+            assert_eq!(e.get("warm_rps").and_then(Json::as_f64), Some(r.warm_rps));
+        }
     }
 
     #[test]
@@ -1661,10 +1818,7 @@ mod tests {
         let csv = cache_csv(&rows);
         assert_eq!(csv.lines().count(), 5);
         assert!(csv.starts_with("design,u,p,points,cold_ns,"));
-        let json = Json::parse(&cache_json(&rows)).expect("the export is valid JSON");
-        let exported = json.as_arr().expect("an array of rows");
-        assert_eq!(exported.len(), rows.len());
-        for (e, r) in exported.iter().zip(&rows) {
+        for (e, r) in exported(&cache_json(&rows), rows.len()).iter().zip(&rows) {
             assert_eq!(
                 e.get("design").and_then(Json::as_str),
                 Some(r.design.as_str())

@@ -99,7 +99,7 @@ impl fmt::Display for CacheOutcome {
 }
 
 /// A monotonic snapshot of the cache counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups answered from memory.
     pub hits: u64,

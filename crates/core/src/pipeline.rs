@@ -25,20 +25,18 @@ use bitlevel_systolic::{
     MatmulExpansionIICells, MatmulLaneCells, MatmulLaneSignals, NoFaults, NullSink, PartitionStats,
     PartitionedSchedule, SimBackend, SyncCellSemantics, TraceEvent, TraceSink, MAX_LANES,
 };
-use serde::Serialize;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Which simulation engine actually ran an evaluation, as a typed value.
 ///
-/// The `Display` (and serde) rendering reproduces the historical free-form
-/// strings exactly — `"compiled"`, `"interpreted"`,
+/// The `Display` rendering reproduces the historical free-form strings
+/// exactly — `"compiled"`, `"interpreted"`,
 /// `"interpreted (fallback: <reason>)"`,
 /// `"compiled-batch (bitwise, width <w>)"` — so persisted reports, CSV/JSON
 /// consumers, and CI checks keyed on those strings keep working unchanged.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
-#[serde(into = "String")]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum BackendUsed {
     /// The compiled dense-slot engine.
     Compiled,
@@ -130,12 +128,6 @@ impl fmt::Display for BackendUsed {
     }
 }
 
-impl From<BackendUsed> for String {
-    fn from(b: BackendUsed) -> String {
-        b.to_string()
-    }
-}
-
 impl std::str::FromStr for BackendUsed {
     type Err = String;
 
@@ -176,14 +168,6 @@ impl std::str::FromStr for BackendUsed {
     }
 }
 
-impl TryFrom<String> for BackendUsed {
-    type Error = String;
-
-    fn try_from(s: String) -> Result<Self, Self::Error> {
-        s.parse()
-    }
-}
-
 impl PartialEq<&str> for BackendUsed {
     // Equality is defined as "renders to exactly this legacy string", so the
     // canonical rendering is the comparison — the allocation is the point.
@@ -201,7 +185,7 @@ impl PartialEq<BackendUsed> for &str {
 
 /// Evidence of how an evaluation's compiled schedule was obtained from the
 /// flow's shared [`CompileCache`].
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CacheActivity {
     /// The 32-hex-digit content key of the (structure, mapping, machine)
     /// triple — the stem of the on-disk `*.blsc` entry when persistence is
@@ -234,7 +218,7 @@ pub struct DesignFlow {
 }
 
 /// Everything known about one concrete architecture for the flow.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ArchitectureReport {
     /// Design label.
     pub name: String,
@@ -266,7 +250,7 @@ pub struct ArchitectureReport {
 /// One frontier design with its verification evidence: the architecture
 /// report from the flow's configured backend plus the field-by-field
 /// comparison against an independent interpreted-engine reference run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct VerifiedFrontierPoint {
     /// The explorer's design (mapping, machine, objective triple).
     pub point: FrontierPoint,
@@ -289,7 +273,7 @@ impl VerifiedFrontierPoint {
 
 /// Result of [`DesignFlow::explore`]: every frontier design independently
 /// re-simulated and cross-checked, plus the explorer's pruning statistics.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ExplorationReport {
     /// Verified frontier designs, in the explorer's deterministic order.
     pub designs: Vec<VerifiedFrontierPoint>,
@@ -308,9 +292,6 @@ impl ExplorationReport {
 /// Result of [`DesignFlow::evaluate_batch`]: one paper design executed over
 /// a whole batch of independent matmul instances, with the products of every
 /// instance extracted bit-exactly.
-///
-/// Not serialisable: the products are `u128` matrices, which serde's derive
-/// does not portably support.
 #[derive(Debug, Clone)]
 pub struct BatchRunReport {
     /// Design label (`PaperDesign::name`).
@@ -1446,14 +1427,12 @@ mod tests {
         );
     }
 
+    /// One `u×u` operand matrix.
+    type Matrix = Vec<Vec<u128>>;
+
     /// Deterministic batch of `n` operand pairs, entries capped at the
     /// carry-safe maximum for `(u, p)`.
-    fn random_batch(
-        u: usize,
-        p: usize,
-        n: usize,
-        seed: u64,
-    ) -> (Vec<Vec<Vec<u128>>>, Vec<Vec<Vec<u128>>>) {
+    fn random_batch(u: usize, p: usize, n: usize, seed: u64) -> (Vec<Matrix>, Vec<Matrix>) {
         let m = BitMatmulArray::new(u, p).max_safe_entry();
         let mut state = seed;
         let mut next = move || {
@@ -1462,9 +1441,8 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((state >> 33) as u128) % (m + 1)
         };
-        let mut mat = move || -> Vec<Vec<u128>> {
-            (0..u).map(|_| (0..u).map(|_| next()).collect()).collect()
-        };
+        let mut mat =
+            move || -> Matrix { (0..u).map(|_| (0..u).map(|_| next()).collect()).collect() };
         (
             (0..n).map(|_| mat()).collect(),
             (0..n).map(|_| mat()).collect(),
@@ -1494,12 +1472,14 @@ mod tests {
             assert_eq!(batch.products, oracle.products);
             assert_eq!(batch.cycles, oracle.cycles);
             for (k, (x, y)) in xs.iter().zip(&ys).enumerate() {
-                for i in 0..u {
-                    for j in 0..u {
-                        let want: u128 = (0..u).map(|l| x[i][l] * y[l][j]).sum();
-                        assert_eq!(batch.products[k][i][j], want, "lane {k} Z[{i}][{j}]");
-                    }
-                }
+                let want: Matrix = (0..u)
+                    .map(|i| {
+                        (0..u)
+                            .map(|j| (0..u).map(|l| x[i][l] * y[l][j]).sum())
+                            .collect()
+                    })
+                    .collect();
+                assert_eq!(batch.products[k], want, "lane {k}");
             }
         }
     }
@@ -1592,7 +1572,7 @@ mod tests {
     }
 
     #[test]
-    fn backend_used_display_serde_and_parse_roundtrip() {
+    fn backend_used_display_and_parse_roundtrip() {
         let cases = [
             (BackendUsed::Compiled, "compiled"),
             (BackendUsed::Interpreted, "interpreted"),
@@ -1615,9 +1595,7 @@ mod tests {
         ];
         for (value, legacy) in cases {
             assert_eq!(value, legacy, "Display must preserve the legacy string");
-            assert_eq!(String::from(value.clone()), legacy);
             assert_eq!(legacy.parse::<BackendUsed>().unwrap(), value);
-            assert_eq!(BackendUsed::try_from(legacy.to_string()).unwrap(), value);
         }
         assert!("compiled-ish".parse::<BackendUsed>().is_err());
     }

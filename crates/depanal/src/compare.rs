@@ -13,11 +13,10 @@ use crate::exact::{
 };
 use crate::expand::expand;
 use bitlevel_ir::WordLevelAlgorithm;
-use serde::Serialize;
 use std::time::{Duration, Instant};
 
 /// Result of one compositional-vs-general comparison.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ComparisonReport {
     /// Word-level algorithm name.
     pub algorithm: String,

@@ -34,10 +34,9 @@
 use bitlevel_arith::AddShift;
 use bitlevel_ir::{AlgorithmTriplet, Dependence, DependenceSet, Predicate, WordLevelAlgorithm};
 use bitlevel_linalg::IVec;
-use serde::{Deserialize, Serialize};
 
 /// The two algorithm expansions of Section 3.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Expansion {
     /// Partial-sum forwarding: the `p²` partial-sum bits of `z(j̄−h̄₃)` are
     /// sent point-to-point to iteration `j̄` (`d̄₃` uniform); the add-shift

@@ -13,11 +13,10 @@
 use crate::exact::DependenceInstances;
 use bitlevel_ir::{AffineFn, BoxSet};
 use bitlevel_linalg::IVec;
-use serde::Serialize;
 use std::collections::BTreeSet;
 
 /// Per-axis direction of a dependence (sink relative to source).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Dir {
     /// Source iteration strictly earlier on this axis (`d > 0`, "<").
     Lt,

@@ -21,11 +21,9 @@
 //! campaign) *can* cancel mod `M`; that residual SDC rate is reported, not
 //! asserted away.
 
-use serde::{Deserialize, Serialize};
-
 /// What happened to one faulted run, relative to the golden output and the
 /// checksum syndromes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultOutcome {
     /// The output equals the golden product: the fault had no effect.
     Masked,
@@ -51,7 +49,7 @@ pub fn checksum_modulus(p: usize) -> u128 {
 }
 
 /// Input-derived ABFT reference checksums for one `u×u`, `p`-bit matmul.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatmulChecksums {
     modulus: u128,
     /// Expected `Σ_j z_ij mod M` per row `i`.
@@ -61,7 +59,7 @@ pub struct MatmulChecksums {
 }
 
 /// Syndromes of one observed output against the references.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyndromeSet {
     /// `(Σ_j z_ij − rowref_i) mod M` per row.
     pub rows: Vec<u128>,

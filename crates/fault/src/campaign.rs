@@ -41,7 +41,6 @@ use bitlevel_systolic::{
     PartitionStats, PartitionedSchedule, MAX_LANES,
 };
 use rayon::prelude::*;
-use serde::Serialize;
 
 use crate::abft::{FaultOutcome, MatmulChecksums};
 use crate::plan::{splitmix64, FaultKind, FaultPlan, RandomFault, TargetedFault};
@@ -73,7 +72,7 @@ pub fn operand_matrices(u: usize, p: usize, seed: u64) -> (Vec<Vec<u128>>, Vec<V
 
 /// One exhaustive-sweep case: a single injected fault and how each engine's
 /// run classified under the ABFT checksums.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FaultCase {
     /// The injected fault.
     pub kind: FaultKind,
@@ -97,7 +96,7 @@ impl FaultCase {
 }
 
 /// Aggregate result of one exhaustive single-fault sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FaultCampaignReport {
     /// Which paper design ran (`"TimeOptimal"` / `"NearestNeighbour"`).
     pub design: String,
@@ -156,11 +155,6 @@ impl FaultCampaignReport {
             );
         }
         out
-    }
-
-    /// JSON export of the whole report.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).unwrap_or_default()
     }
 }
 
@@ -302,7 +296,7 @@ pub fn single_fault_campaign_with_cache(
 
 /// One Monte Carlo trial: a seeded multi-fault plan and both engines'
 /// classifications.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MonteCarloTrial {
     /// The per-trial plan seed (`campaign seed + trial index`).
     pub seed: u64,
@@ -315,7 +309,7 @@ pub struct MonteCarloTrial {
 }
 
 /// Aggregate result of a seeded Monte Carlo fault campaign.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MonteCarloReport {
     /// Which paper design ran.
     pub design: String,
@@ -416,7 +410,7 @@ pub fn monte_carlo_campaign_with_cache(
 
 /// One case of a lane-packed exhaustive sweep: which walk and lane carried
 /// it, and how its syndrome classified.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchedFaultCase {
     /// The injected fault.
     pub kind: FaultKind,
@@ -435,7 +429,7 @@ pub struct BatchedFaultCase {
 }
 
 /// Aggregate result of one lane-packed exhaustive single-fault sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchedFaultCampaignReport {
     /// Which paper design ran.
     pub design: String,
@@ -489,11 +483,6 @@ impl BatchedFaultCampaignReport {
                     && b.outcome == s.interpreted
                     && b.outcome == s.compiled
             })
-    }
-
-    /// JSON export of the whole report.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).unwrap_or_default()
     }
 }
 
@@ -616,7 +605,7 @@ pub fn batched_single_fault_campaign(
 
 /// One case of a partitioned exhaustive sweep: a single injected fault run
 /// on the LSGP-partitioned engine and the compiled engine.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PartitionedFaultCase {
     /// The injected fault.
     pub kind: FaultKind,
@@ -640,7 +629,7 @@ impl PartitionedFaultCase {
 }
 
 /// Aggregate result of one partitioned exhaustive single-fault sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PartitionedCampaignReport {
     /// Which paper design ran.
     pub design: String,
@@ -695,11 +684,6 @@ impl PartitionedCampaignReport {
                     && q.partitioned == s.interpreted
                     && q.compiled == s.compiled
             })
-    }
-
-    /// JSON export of the whole report.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).unwrap_or_default()
     }
 }
 

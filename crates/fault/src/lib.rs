@@ -5,7 +5,7 @@
 //! Deterministic fault injection and ABFT resilience analysis for the
 //! bit-level systolic engines:
 //!
-//! * [`plan`] — serializable, seed-deterministic [`FaultPlan`]s (transient
+//! * [`plan`] — plain-data, seed-deterministic [`FaultPlan`]s (transient
 //!   bit flips, stuck-at cells, dead PEs, dropped/duplicated link
 //!   transfers), targeted by `(pe, cycle)` or sampled by rate, lowered by
 //!   [`FaultPlan::resolve`] into a pure-lookup

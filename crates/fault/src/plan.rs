@@ -1,6 +1,6 @@
 //! Seed-deterministic fault plans.
 //!
-//! A [`FaultPlan`] is the serializable *description* of a fault experiment:
+//! A [`FaultPlan`] is the plain-data *description* of a fault experiment:
 //! targeted faults pinned to `(pe, cycle)` plus rate-sampled random faults
 //! drawn from a seeded counter-based generator. [`FaultPlan::resolve`]
 //! lowers the description against a concrete algorithm and space–time
@@ -20,12 +20,11 @@ use bitlevel_ir::AlgorithmTriplet;
 use bitlevel_linalg::IVec;
 use bitlevel_mapping::MappingMatrix;
 use bitlevel_systolic::{FaultInjector, FaultableBundle, TransferFault};
-use serde::{Deserialize, Serialize};
 
 /// One kind of hardware misbehaviour. Bit indices address
 /// [`FaultableBundle`] signal bits; column indices address dependence
 /// columns in the algorithm's composed order.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// One output signal bit inverted for one firing.
     TransientFlip {
@@ -58,7 +57,7 @@ pub enum FaultKind {
 /// A fault pinned to a specific processor (and optionally a specific
 /// cycle). On a conflict-free design `(pe, cycle)` identifies exactly one
 /// index point; `cycle: None` hits every firing of the PE.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TargetedFault {
     /// What goes wrong.
     pub kind: FaultKind,
@@ -70,7 +69,7 @@ pub struct TargetedFault {
 
 /// A fault sampled independently at every index point with probability
 /// `rate`, from the plan seed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RandomFault {
     /// What goes wrong where the sample hits.
     pub kind: FaultKind,
@@ -78,8 +77,8 @@ pub struct RandomFault {
     pub rate: f64,
 }
 
-/// A serializable, seed-deterministic fault experiment description.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// A plain-data, seed-deterministic fault experiment description.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the random component (ignored when `random` is empty).
     pub seed: u64,
@@ -90,7 +89,7 @@ pub struct FaultPlan {
 }
 
 /// One fault the resolver actually attached to an index point.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResolvedFault {
     /// What was injected.
     pub kind: FaultKind,

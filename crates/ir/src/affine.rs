@@ -7,12 +7,11 @@
 //! inside the index set).
 
 use bitlevel_linalg::{IMat, IVec};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An affine map `g(j̄) = A·j̄ + b̄` from an `n`-dimensional index space to an
 /// `m`-dimensional subscript space.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AffineFn {
     /// Linear part `A` (m×n).
     pub matrix: IMat,

@@ -9,13 +9,12 @@
 use crate::index_set::BoxSet;
 use crate::predicate::Predicate;
 use bitlevel_linalg::{IMat, IVec};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Classification of a dependence (Section 2). The paper's single-assignment
 /// convention removes output dependences; they remain representable for the
 /// general analyser.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DepKind {
     /// Read-after-write.
     Flow,
@@ -38,7 +37,7 @@ impl fmt::Display for DepKind {
 /// One (possibly conditional) dependence vector: the paper's column of `D`
 /// together with the variable that causes it and the validity region printed
 /// under the column in eqs. (3.8)–(3.12).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Dependence {
     /// The dependence vector `d̄ = j̄ − j̄′`.
     pub vector: IVec,
@@ -90,7 +89,7 @@ impl Dependence {
 
 /// The dependence structure of an algorithm: an ordered set of (conditional)
 /// dependence vectors over a common index set dimension.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct DependenceSet {
     deps: Vec<Dependence>,
 }

@@ -7,11 +7,10 @@
 //! compound set is precisely the Cartesian product `J_w × J_as`.
 
 use bitlevel_linalg::IVec;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A box-shaped index set `{ j̄ ∈ Zⁿ : l̄ ≤ j̄ ≤ ū }` (componentwise).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BoxSet {
     lower: IVec,
     upper: IVec,

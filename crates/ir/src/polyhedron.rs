@@ -11,7 +11,6 @@
 
 use crate::index_set::BoxSet;
 use bitlevel_linalg::{IMat, IVec};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An integer polyhedron `{ j̄ : A·j̄ ≤ b̄ }` with a known finite bounding box.
@@ -19,7 +18,7 @@ use std::fmt;
 /// The bounding box is supplied by the constructor (loop nests always have
 /// one — the paper's model requires finite bounds) and is used to enumerate
 /// points; membership itself is exact.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Polyhedron {
     /// Constraint matrix `A` (rows are faces).
     pub a: IMat,

@@ -11,11 +11,10 @@
 
 use crate::index_set::BoxSet;
 use bitlevel_linalg::IVec;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The right-hand side an axis is compared against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rhs {
     /// A literal integer.
     Const(i64),
@@ -26,7 +25,7 @@ pub enum Rhs {
 }
 
 /// Comparison operator of an atom.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Cmp {
     /// `axis = rhs`
     Eq,
@@ -35,7 +34,7 @@ pub enum Cmp {
 }
 
 /// One atomic constraint `j[axis] (= | ≠) rhs`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Atom {
     /// Zero-based axis of the index space.
     pub axis: usize,
@@ -99,7 +98,7 @@ impl Atom {
 /// assert!(!q1.eval(&IVec::from([4, 1, 2]), &set)); // neither disjunct
 /// assert!(!q1.eval(&IVec::from([3, 2, 3]), &set)); // j ≠ u
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Predicate {
     /// DNF clauses; each clause is a conjunction of atoms.
     clauses: Vec<Vec<Atom>>,

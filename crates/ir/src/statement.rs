@@ -11,12 +11,11 @@
 use crate::affine::AffineFn;
 use crate::index_set::BoxSet;
 use crate::predicate::Predicate;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The operation a statement performs. Dependence analysis only needs the
 /// access pattern; the operation matters to the functional simulators.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpKind {
     /// Pure data propagation `x(j̄) = x(j̄ − d̄)` (pipelining).
     Copy,
@@ -36,7 +35,7 @@ pub enum OpKind {
 }
 
 /// One array access `array(g(j̄))`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Access {
     /// Array (variable) name.
     pub array: String,
@@ -61,7 +60,7 @@ impl fmt::Display for Access {
 }
 
 /// A guarded single-assignment statement inside the loop nest.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Statement {
     /// Left-hand side (written access).
     pub target: Access,
@@ -133,7 +132,7 @@ impl fmt::Display for Statement {
 
 /// A whole nested-loop program: bounds plus ordered statements — the paper's
 /// form (2.1).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoopNest {
     /// Iteration space.
     pub bounds: BoxSet,

@@ -10,12 +10,11 @@
 use crate::dependence::DependenceSet;
 use crate::index_set::BoxSet;
 use bitlevel_linalg::IMat;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An algorithm triplet `(J, D, E)`. `E` is a human-readable description of
 /// the per-point computation; functional semantics live in the simulators.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AlgorithmTriplet {
     /// The index set `J`.
     pub index_set: BoxSet,

@@ -24,10 +24,9 @@ use crate::index_set::BoxSet;
 use crate::statement::{Access, LoopNest, OpKind, Statement};
 use crate::triplet::AlgorithmTriplet;
 use bitlevel_linalg::{IMat, IVec};
-use serde::{Deserialize, Serialize};
 
 /// An instance of the word-level model (3.5).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WordLevelAlgorithm {
     /// Human-readable name ("matrix multiplication", …).
     pub name: String,

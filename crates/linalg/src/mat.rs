@@ -6,11 +6,10 @@
 //! stored row-major.
 
 use crate::vec::IVec;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense, row-major, exact integer matrix.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct IMat {
     rows: usize,
     cols: usize,

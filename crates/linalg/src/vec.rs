@@ -5,7 +5,6 @@
 //! representation. Row vectors (schedules `Π`) are represented as rows of an
 //! [`crate::IMat`] or as `&[i64]` slices where a standalone row is needed.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 
@@ -15,7 +14,7 @@ use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 /// dot products, and the component-wise partial order `v̄ ≥ ū` used by the
 /// paper ("every component of v̄ is greater than or equal to the corresponding
 /// component of ū").
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct IVec(pub Vec<i64>);
 
 impl IVec {

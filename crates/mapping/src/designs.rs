@@ -21,10 +21,9 @@
 use crate::interconnect::Interconnect;
 use crate::transform::MappingMatrix;
 use bitlevel_linalg::{IMat, IVec};
-use serde::Serialize;
 
 /// Which of the paper's two bit-level designs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PaperDesign {
     /// Fig. 4: time-optimal, long wires (eq. (4.2)/(4.3)).
     TimeOptimal,

@@ -39,7 +39,6 @@ use crate::transform::MappingMatrix;
 use bitlevel_ir::AlgorithmTriplet;
 use bitlevel_linalg::{gcd_all, rank, IMat, IVec};
 use rayon::prelude::*;
-use serde::Serialize;
 
 /// A named interconnect the explorer may assign to a design.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,7 +79,7 @@ pub struct ExploreConfig {
 /// frontier. Without a [`ExploreConfig::max_physical_pes`] budget the
 /// physical axes coincide with the virtual ones, so the frontier is the
 /// paper's `(time, processors, wire)` frontier unchanged.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrontierPoint {
     /// The full mapping `T = [S; Π]`.
     pub mapping: MappingMatrix,
@@ -104,7 +103,7 @@ pub struct FrontierPoint {
 }
 
 /// Where the search effort went — the evidence that pruning worked.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExploreStats {
     /// Space mappings considered.
     pub spaces: usize,
@@ -130,7 +129,7 @@ pub struct ExploreStats {
 }
 
 /// Result of [`explore`]: the Pareto frontier plus search statistics.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Exploration {
     /// Non-dominated designs, sorted by `(time, processors, wire)`; ties on
     /// the objective triple keep the lexicographically smallest `(S, Π,
@@ -512,7 +511,7 @@ mod tests {
                 find_optimal_schedule(&s, &alg, &machine.interconnect, 2).expect("feasible");
             let ex = explore(
                 &alg,
-                &[s.clone()],
+                std::slice::from_ref(&s),
                 &ExploreConfig {
                     pi_bound: 2,
                     machines: vec![machine.clone()],
@@ -658,7 +657,7 @@ mod tests {
             max_physical_pes: None,
         };
         assert_eq!(
-            explore(&alg, &[s.clone()], &cfg),
+            explore(&alg, std::slice::from_ref(&s), &cfg),
             Err(MappingError::NonPositiveBound { bound: 0 })
         );
         let narrow = IMat::from_rows(&[&[1, 0, 0]]);

@@ -15,10 +15,9 @@ use crate::interconnect::{Interconnect, KSolution};
 use crate::transform::MappingMatrix;
 use bitlevel_ir::AlgorithmTriplet;
 use bitlevel_linalg::{gcd_all, rank, IMat};
-use serde::Serialize;
 
 /// Why a mapping is infeasible.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Violation {
     /// Condition 1: `Π·d̄ᵢ ≤ 0` for the named dependence column.
     NonPositiveSchedule {

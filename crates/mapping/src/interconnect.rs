@@ -10,11 +10,10 @@
 //! `[1,0]ᵀ`" in Fig. 4.
 
 use bitlevel_linalg::{IMat, IVec};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A set of interconnection primitives: the columns of `P`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Interconnect {
     /// The primitive matrix `P ∈ Z^{(k−1)×r}`.
     pub p: IMat,

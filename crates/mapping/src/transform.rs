@@ -7,11 +7,10 @@
 
 use crate::error::MappingError;
 use bitlevel_linalg::{IMat, IVec};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A space–time mapping `T = [S; Π]`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MappingMatrix {
     /// Space mapping `S ∈ Z^{(k−1)×n}`: rows are processor coordinates.
     pub space: IMat,

@@ -2,8 +2,8 @@
 //! requests, stream frames back. Used by the `serve_client` example, the CI
 //! smoke step, the E22 load generator, and the test suite.
 
-use crate::json::Json;
 use crate::protocol::{Frame, FrameReader, ReadFrame, RequestEnvelope, DEFAULT_MAX_FRAME_BYTES};
+use bitlevel_json::Json;
 use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;

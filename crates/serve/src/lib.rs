@@ -29,18 +29,17 @@
 //! cache temperature and timing ride in progress frames — so identical
 //! requests yield byte-identical terminal lines.
 //!
-//! The wire layer is hand-rolled on [`json::Json`] because the offline
-//! build's `serde_json` stub is inert; the typed protocol structs still
-//! derive serde for CI builds with the real crates.
+//! The wire layer converts requests and frames to and from
+//! [`bitlevel_json::Json`] explicitly; the crate re-exports [`Json`] and
+//! [`JsonError`].
 
 pub mod client;
-pub mod json;
 pub mod metrics;
 pub mod protocol;
 pub mod server;
 
+pub use bitlevel_json::{Json, JsonError};
 pub use client::{ServeClient, Transaction};
-pub use json::{Json, JsonError};
 pub use metrics::ServerMetrics;
 pub use protocol::{
     backend_from_wire, backend_wire_name, CampaignMode, DesignSpec, ErrorFrame, ErrorKind, Frame,

@@ -7,8 +7,8 @@
 //! so it cannot race between handlers either (satellite 2 of the service
 //! issue).
 
-use crate::json::Json;
 use bitlevel_cache::CacheStats;
+use bitlevel_json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cumulative counters and gauges for one server instance.

@@ -14,10 +14,9 @@
 //! the reader's cap are discarded (to the next newline) and answered with
 //! [`ErrorKind::FrameTooLarge`].
 
-use crate::json::Json;
+use bitlevel_json::Json;
 use bitlevel_mapping::PaperDesign;
 use bitlevel_systolic::{SimBackend, MAX_LANES};
-use serde::{Deserialize, Serialize};
 use std::io::{self, Read};
 
 /// Default cap on one request line, in bytes. Requests are small typed
@@ -41,7 +40,7 @@ pub const MAX_TRIALS: usize = 65_536;
 pub const MC_CHUNK: usize = 64;
 
 /// One of the paper's Section 4.2 matmul designs, as named on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DesignSpec {
     /// Fig. 4: the time-optimal long-wire design.
     TimeOptimal,
@@ -77,7 +76,7 @@ impl DesignSpec {
 }
 
 /// Which fault campaign to run and its parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CampaignMode {
     /// Exhaustive dual-engine single-fault sweep.
     Single {
@@ -104,7 +103,7 @@ pub enum CampaignMode {
 }
 
 /// A typed request body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Evaluate one paper design on any [`SimBackend`].
     Evaluate {
@@ -157,7 +156,7 @@ impl Request {
 }
 
 /// One request line: a client-chosen id, an optional deadline, and the body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestEnvelope {
     /// Client-chosen correlation id, echoed on every frame of the response.
     pub id: u64,
@@ -169,7 +168,7 @@ pub struct RequestEnvelope {
 }
 
 /// Error taxonomy of the service, as carried in [`ErrorFrame::kind`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorKind {
     /// The line was not a well-formed request object.
     MalformedRequest,
@@ -213,7 +212,7 @@ impl ErrorKind {
 }
 
 /// A typed error response: what went wrong and a human-readable detail.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ErrorFrame {
     /// The error class.
     pub kind: ErrorKind,

@@ -25,7 +25,6 @@
 //! they are on (in-flight work drains), answer any further frames with
 //! `shutting-down`, and exit on their next poll tick.
 
-use crate::json::Json;
 use crate::metrics::{cache_stats_json, ServerMetrics};
 use crate::protocol::{
     CampaignMode, DesignSpec, ErrorFrame, ErrorKind, Frame, FrameReader, ReadFrame, Request,
@@ -33,6 +32,7 @@ use crate::protocol::{
 };
 use bitlevel_cache::{CacheStats, CompileCache};
 use bitlevel_core::{ArchitectureReport, DesignFlow};
+use bitlevel_json::Json;
 use bitlevel_systolic::{NullSink, SimBackend};
 use std::collections::VecDeque;
 use std::io::{self, Write};

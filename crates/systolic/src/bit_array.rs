@@ -28,11 +28,10 @@
 //! `bitlevel-arith`).
 
 use bitlevel_arith::{from_bits, to_bits, wide_add, Bit};
-use serde::Serialize;
 
 /// The Expansion II bit-level matmul array for `u×u` matrices of `p`-bit
 /// words.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BitMatmulArray {
     /// Matrix dimension `u ≥ 1`.
     pub u: usize,
@@ -41,7 +40,7 @@ pub struct BitMatmulArray {
 }
 
 /// Outcome of one array run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BitMatmulRun {
     /// The product matrix, each entry reduced mod `2^{2p−1}`.
     pub z: Vec<Vec<u128>>,

@@ -20,7 +20,6 @@ use bitlevel_arith::{full_add, to_bits, wide_add, Bit};
 use bitlevel_ir::AlgorithmTriplet;
 use bitlevel_linalg::IVec;
 use bitlevel_mapping::{Interconnect, MappingMatrix, Routing};
-use serde::Serialize;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -61,7 +60,7 @@ pub trait SyncCellSemantics: Sync {
 }
 
 /// One timing/route violation found by the clocked engine.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClockedViolation {
     /// A consumer fired at or before its producer.
     CausalityOrder {

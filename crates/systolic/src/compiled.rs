@@ -41,12 +41,11 @@ use bitlevel_ir::{AlgorithmTriplet, Atom};
 use bitlevel_linalg::IVec;
 use bitlevel_mapping::{Interconnect, MappingMatrix, Routing};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Which simulation engine executes a mapped algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimBackend {
     /// The HashMap-based reference engines (`run_clocked`, `simulate_mapped`).
     Interpreted,
@@ -221,9 +220,8 @@ impl<B> Default for SlotScratch<B> {
 ///
 /// Persistable: [`CompiledSchedule::to_bytes`]/[`CompiledSchedule::from_bytes`]
 /// (see [`crate::persist`]) give a checksummed, versioned binary image used by
-/// the on-disk compile cache; serde derives cover JSON transport where the
-/// real serde crates are available.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// the on-disk compile cache.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledSchedule {
     /// Algorithm dimension `n`.
     pub(crate) n: usize,

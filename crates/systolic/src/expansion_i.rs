@@ -25,10 +25,9 @@
 //! exact; [`ExpansionIMatmul::run`] reports which.
 
 use bitlevel_arith::{from_bits, full_add, to_bits, wide_add, Bit};
-use serde::Serialize;
 
 /// Functional simulator for the Expansion I bit-level matmul.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExpansionIMatmul {
     /// Matrix dimension `u ≥ 1`.
     pub u: usize,
@@ -37,7 +36,7 @@ pub struct ExpansionIMatmul {
 }
 
 /// One dropped carry: where, and with what weight (bit position − 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DroppedCarry {
     /// Word-level accumulator coordinates `(j₁, j₂)` (1-based).
     pub block: (usize, usize),
@@ -48,7 +47,7 @@ pub struct DroppedCarry {
 }
 
 /// Result of an Expansion I run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ExpansionIRun {
     /// The computed product bits (mod `2^{2p−1}`, minus dropped carries).
     pub z: Vec<Vec<u128>>,

@@ -89,7 +89,7 @@ impl<B> FaultInjector<B> for NoFaults {
 
 /// Signal bundles whose bits a fault plan can address generically.
 ///
-/// Bit indices are bundle-defined but must be stable: plans serialized for
+/// Bit indices are bundle-defined but must be stable: a plan written for
 /// one run must mean the same wires in the next.
 pub trait FaultableBundle: Clone {
     /// Number of addressable signal bits in the bundle.

@@ -25,11 +25,10 @@ use crate::trace::{NullSink, TraceEvent, TraceSink};
 use bitlevel_ir::AlgorithmTriplet;
 use bitlevel_linalg::IVec;
 use bitlevel_mapping::{Interconnect, MappingMatrix, Routing};
-use serde::Serialize;
 use std::collections::HashMap;
 
 /// Measured results of simulating a mapped algorithm.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MappedRunReport {
     /// Total busy cycles (first to last, inclusive) — the measured (4.5).
     pub cycles: i64,

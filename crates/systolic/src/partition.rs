@@ -44,7 +44,6 @@ use crate::fault::{FaultInjector, NoFaults};
 use crate::mapped::MappedRunReport;
 use crate::trace::{NullSink, TraceSink};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -82,7 +81,7 @@ impl std::error::Error for PartitionError {}
 
 /// Shape and cost summary of one LSGP partition, reported by the pipeline
 /// and the `--sweep partition` bench.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionStats {
     /// Worker budget the caller asked for.
     pub workers_requested: usize,

@@ -1,10 +1,8 @@
 //! Versioned binary persistence for [`CompiledSchedule`] artifacts.
 //!
 //! The compile cache (`bitlevel-cache`) stores compiled schedules on disk so
-//! warm evaluations skip `try_compile` entirely. Serde derives exist on
-//! [`CompiledSchedule`] for JSON transport, but the disk layer uses this
-//! hand-rolled codec instead: it is dependency-free (it works identically
-//! against the offline `.dev-stubs` serde), explicitly versioned, and
+//! warm evaluations skip `try_compile` entirely. The disk layer uses this
+//! hand-rolled codec: it is dependency-free, explicitly versioned, and
 //! checksummed so corrupted or truncated cache entries are *detected* and
 //! reported as a typed [`PersistError`] — never a panic, never a silently
 //! wrong schedule.

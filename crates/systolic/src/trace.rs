@@ -22,13 +22,13 @@
 //! sequential bookkeeping replay, leaving the rayon value slices untouched —
 //! which `tests/engine_agreement.rs` pins down.
 
+use bitlevel_json::Json;
 use bitlevel_linalg::IVec;
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// What a [`RecordingSink`] retains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Keep the full per-event list (needed for the Chrome-trace/CSV
     /// exporters and event-stream equality tests). [`TraceRollup`] counters
@@ -51,8 +51,7 @@ impl Default for TraceConfig {
 }
 
 /// One observable simulation event.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-#[serde(tag = "kind")]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// A dependence column was routed at pre-route/compile time.
     ColumnRoute {
@@ -369,15 +368,26 @@ impl RecordingSink {
     /// backend fallbacks become instant (`"i"`) events. Timestamps are
     /// cycles, rebased to 0.
     pub fn to_chrome_trace(&self) -> String {
-        use serde_json::json;
         let min_cycle = self
             .events
             .iter()
             .filter_map(TraceEvent::cycle)
             .min()
             .unwrap_or(0);
+        let instant = |name: &str, cat: &str, ts: i64, args: Vec<(&str, Json)>| {
+            Json::obj(vec![
+                ("name", Json::str(name)),
+                ("cat", Json::str(cat)),
+                ("ph", Json::str("i")),
+                ("s", Json::str("g")),
+                ("ts", Json::Int(ts)),
+                ("pid", Json::Int(0)),
+                ("tid", Json::Int(0)),
+                ("args", Json::obj(args)),
+            ])
+        };
         let mut tids: BTreeMap<IVec, u64> = BTreeMap::new();
-        let mut out: Vec<serde_json::Value> = Vec::new();
+        let mut out = Vec::new();
         for ev in &self.events {
             match ev {
                 TraceEvent::PointFired {
@@ -387,64 +397,61 @@ impl RecordingSink {
                 } => {
                     let next = tids.len() as u64;
                     let tid = *tids.entry(processor.clone()).or_insert(next);
-                    out.push(json!({
-                        "name": point.to_string(),
-                        "cat": "fire",
-                        "ph": "X",
-                        "ts": cycle - min_cycle,
-                        "dur": 1,
-                        "pid": 0,
-                        "tid": tid,
-                        "args": { "processor": processor.to_string() },
-                    }));
+                    out.push(Json::obj(vec![
+                        ("name", Json::str(point.to_string())),
+                        ("cat", Json::str("fire")),
+                        ("ph", Json::str("X")),
+                        ("ts", Json::Int(cycle - min_cycle)),
+                        ("dur", Json::Int(1)),
+                        ("pid", Json::Int(0)),
+                        ("tid", Json::from(tid)),
+                        (
+                            "args",
+                            Json::obj(vec![("processor", Json::str(processor.to_string()))]),
+                        ),
+                    ]));
                 }
-                TraceEvent::Violation { cycle, description } => out.push(json!({
-                    "name": "violation",
-                    "cat": "violation",
-                    "ph": "i",
-                    "s": "g",
-                    "ts": cycle - min_cycle,
-                    "pid": 0,
-                    "tid": 0,
-                    "args": { "description": description },
-                })),
+                TraceEvent::Violation { cycle, description } => out.push(instant(
+                    "violation",
+                    "violation",
+                    cycle - min_cycle,
+                    vec![("description", Json::str(description.as_str()))],
+                )),
                 TraceEvent::FaultInjected {
                     cycle, point, kind, ..
-                } => out.push(json!({
-                    "name": "fault",
-                    "cat": "fault",
-                    "ph": "i",
-                    "s": "g",
-                    "ts": cycle - min_cycle,
-                    "pid": 0,
-                    "tid": 0,
-                    "args": { "point": point.to_string(), "kind": kind },
-                })),
-                TraceEvent::BackendFallback { from, to, reason } => out.push(json!({
-                    "name": "backend-fallback",
-                    "cat": "meta",
-                    "ph": "i",
-                    "s": "g",
-                    "ts": 0,
-                    "pid": 0,
-                    "tid": 0,
-                    "args": { "from": from, "to": to, "reason": reason },
-                })),
+                } => out.push(instant(
+                    "fault",
+                    "fault",
+                    cycle - min_cycle,
+                    vec![
+                        ("point", Json::str(point.to_string())),
+                        ("kind", Json::str(kind.as_str())),
+                    ],
+                )),
+                TraceEvent::BackendFallback { from, to, reason } => out.push(instant(
+                    "backend-fallback",
+                    "meta",
+                    0,
+                    vec![
+                        ("from", Json::str(from.as_str())),
+                        ("to", Json::str(to.as_str())),
+                        ("reason", Json::str(reason.as_str())),
+                    ],
+                )),
                 _ => {}
             }
         }
         for (c, w) in &self.rollup.wavefront {
-            out.push(json!({
-                "name": "wavefront",
-                "cat": "rollup",
-                "ph": "C",
-                "ts": c - min_cycle,
-                "pid": 0,
-                "args": { "width": w },
-            }));
+            out.push(Json::obj(vec![
+                ("name", Json::str("wavefront")),
+                ("cat", Json::str("rollup")),
+                ("ph", Json::str("C")),
+                ("ts", Json::Int(c - min_cycle)),
+                ("pid", Json::Int(0)),
+                ("args", Json::obj(vec![("width", Json::from(*w))])),
+            ]));
         }
-        serde_json::to_string_pretty(&json!({ "traceEvents": out }))
-            .expect("chrome trace serialises")
+        Json::obj(vec![("traceEvents", Json::Arr(out))]).render()
     }
 
     /// Exports every captured event as one CSV row
@@ -673,11 +680,8 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_valid_json_with_one_event_per_fire() {
-        if serde_json::to_string(&1i64)
-            .map(|s| s.is_empty())
-            .unwrap_or(true)
-        {
-            return; // offline serde_json stub: no real JSON to validate
+        fn text<'a>(e: &'a Json, key: &str) -> Option<&'a str> {
+            e.get(key).and_then(Json::as_str)
         }
         let mut sink = RecordingSink::new();
         sink.record(fire(3, &[1, 1], &[0, 0]));
@@ -686,17 +690,20 @@ mod tests {
             cycle: 4,
             description: "late".into(),
         });
-        let doc: serde_json::Value = serde_json::from_str(&sink.to_chrome_trace()).unwrap();
-        let events = doc["traceEvents"].as_array().unwrap();
-        let fires: Vec<_> = events.iter().filter(|e| e["cat"] == "fire").collect();
+        let doc = Json::parse(&sink.to_chrome_trace()).expect("valid JSON");
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        let fires: Vec<_> = events
+            .iter()
+            .filter(|e| text(e, "cat") == Some("fire"))
+            .collect();
         assert_eq!(fires.len(), 2);
         // Timestamps are rebased to the first busy cycle.
-        assert_eq!(fires[0]["ts"], 0);
-        assert_eq!(fires[1]["ts"], 1);
-        assert!(events.iter().any(|e| e["cat"] == "violation"));
+        assert_eq!(fires[0].get("ts").and_then(Json::as_i64), Some(0));
+        assert_eq!(fires[1].get("ts").and_then(Json::as_i64), Some(1));
+        assert!(events.iter().any(|e| text(e, "cat") == Some("violation")));
         assert!(events
             .iter()
-            .any(|e| e["ph"] == "C" && e["name"] == "wavefront"));
+            .any(|e| text(e, "ph") == Some("C") && text(e, "name") == Some("wavefront")));
     }
 
     #[test]

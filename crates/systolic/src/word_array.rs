@@ -15,7 +15,6 @@
 //! arithmetic is bit-exact, not `i64` shortcuts.
 
 use bitlevel_arith::MultiplierAlgorithm;
-use serde::Serialize;
 
 /// A word-level systolic matmul array with a pluggable word-PE multiplier.
 pub struct WordLevelArray<'m> {
@@ -26,7 +25,7 @@ pub struct WordLevelArray<'m> {
 }
 
 /// Measured results of a word-level run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct WordRunReport {
     /// Word-level cycles: `3(u−1)+1`.
     pub word_cycles: i64,

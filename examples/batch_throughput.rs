@@ -44,12 +44,14 @@ fn main() {
             let secs = t0.elapsed().as_secs_f64();
             assert!(report.legal, "illegal run on {}", report.design);
             for (k, (x, y)) in xs.iter().zip(&ys).enumerate() {
-                for i in 0..u {
-                    for j in 0..u {
-                        let want: u128 = (0..u).map(|l| x[i][l] * y[l][j]).sum();
-                        assert_eq!(report.products[k][i][j], want, "lane {k} Z[{i}][{j}]");
-                    }
-                }
+                let want: Vec<Vec<u128>> = (0..u)
+                    .map(|i| {
+                        (0..u)
+                            .map(|j| (0..u).map(|l| x[i][l] * y[l][j]).sum())
+                            .collect()
+                    })
+                    .collect();
+                assert_eq!(report.products[k], want, "lane {k}");
             }
             throughput.push(INSTANCES as f64 / secs);
             println!(

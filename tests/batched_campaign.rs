@@ -69,7 +69,7 @@ fn batched_campaign_is_seed_deterministic() {
     let cache = CompileCache::new();
     let a = batched_single_fault_campaign(PaperDesign::TimeOptimal, 2, 2, 0xE20, 64, &cache);
     let b = batched_single_fault_campaign(PaperDesign::TimeOptimal, 2, 2, 0xE20, 64, &cache);
-    assert_eq!(a.to_json(), b.to_json());
+    assert_eq!(a, b);
 }
 
 proptest! {

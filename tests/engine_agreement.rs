@@ -17,7 +17,10 @@ use bitlevel::systolic::{
 use bitlevel::{BitMatmulArray, PaperDesign, WordLevelAlgorithm};
 use proptest::prelude::*;
 
-fn random_matrix(u: usize, cap: u128, state: &mut u64) -> Vec<Vec<u128>> {
+/// One `u×u` operand matrix.
+type Matrix = Vec<Vec<u128>>;
+
+fn random_matrix(u: usize, cap: u128, state: &mut u64) -> Matrix {
     (0..u)
         .map(|_| {
             (0..u)
@@ -289,12 +292,7 @@ fn traced_violations_mirror_the_engines_violation_stream() {
 
 use bitlevel::systolic::{MatmulExpansionIICells, MatmulLaneCells};
 
-fn random_batch(
-    u: usize,
-    cap: u128,
-    n: usize,
-    state: &mut u64,
-) -> (Vec<Vec<Vec<u128>>>, Vec<Vec<Vec<u128>>>) {
+fn random_batch(u: usize, cap: u128, n: usize, state: &mut u64) -> (Vec<Matrix>, Vec<Matrix>) {
     (
         (0..n).map(|_| random_matrix(u, cap, state)).collect(),
         (0..n).map(|_| random_matrix(u, cap, state)).collect(),

@@ -111,7 +111,7 @@ fn check_engines_agree(seed: u64, rate: f64, bit: usize) {
             RandomFault {
                 kind: FaultKind::StuckAt {
                     bit,
-                    value: seed % 2 == 0,
+                    value: seed.is_multiple_of(2),
                 },
                 rate: rate / 2.0,
             },

@@ -16,7 +16,10 @@ use std::sync::Arc;
 
 const DESIGNS: [PaperDesign; 2] = [PaperDesign::TimeOptimal, PaperDesign::NearestNeighbour];
 
-fn random_matrix(u: usize, cap: u128, state: &mut u64) -> Vec<Vec<u128>> {
+/// One `u×u` operand matrix.
+type Matrix = Vec<Vec<u128>>;
+
+fn random_matrix(u: usize, cap: u128, state: &mut u64) -> Matrix {
     (0..u)
         .map(|_| {
             (0..u)
@@ -31,12 +34,7 @@ fn random_matrix(u: usize, cap: u128, state: &mut u64) -> Vec<Vec<u128>> {
         .collect()
 }
 
-fn random_batch(
-    u: usize,
-    p: usize,
-    n: usize,
-    seed: u64,
-) -> (Vec<Vec<Vec<u128>>>, Vec<Vec<Vec<u128>>>) {
+fn random_batch(u: usize, p: usize, n: usize, seed: u64) -> (Vec<Matrix>, Vec<Matrix>) {
     let cap = BitMatmulArray::new(u, p).max_safe_entry();
     let mut state = seed | 1;
     let xs = (0..n).map(|_| random_matrix(u, cap, &mut state)).collect();
