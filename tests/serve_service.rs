@@ -200,6 +200,109 @@ fn explore_and_monte_carlo_stream_progress_before_the_result() {
     handle.join();
 }
 
+fn campaign(id: u64, u: i64, p: usize, design: DesignSpec, mode: CampaignMode) -> RequestEnvelope {
+    RequestEnvelope {
+        id,
+        deadline_ms: None,
+        request: Request::FaultCampaign { u, p, design, mode },
+    }
+}
+
+/// The named integer fields of a result payload.
+fn counts(result: &bitlevel::serve::Json, keys: &[&str]) -> Vec<i64> {
+    keys.iter()
+        .map(|k| {
+            result
+                .get(k)
+                .and_then(|v| v.as_i64())
+                .unwrap_or_else(|| panic!("result field {k:?} missing"))
+        })
+        .collect()
+}
+
+#[test]
+fn served_campaign_counts_equal_the_scalar_oracles() {
+    // Served Monte Carlo counts, engine mismatches included, are the
+    // scalar dual-engine campaign's chunks summed (chunk i seeded with
+    // seed + i); served batched counts are the scalar sweep's.
+    let handle = start();
+    let mut client = ServeClient::connect(handle.local_addr()).expect("connect");
+    let mut id = 40;
+    for design in [DesignSpec::TimeOptimal, DesignSpec::NearestNeighbour] {
+        let paper = design.to_design();
+        for (u, p, seed, trials, rate) in [
+            (2i64, 3usize, 11u64, 128usize, 0.01),
+            (2, 2, 3, 130, 0.05),
+            (2, 3, 9_223_372_036_854_775_000, 70, 0.2),
+        ] {
+            id += 1;
+            let mode = CampaignMode::MonteCarlo { seed, trials, rate };
+            let tx = client
+                .request_collect(&campaign(id, u, p, design, mode))
+                .expect("campaign completes");
+            let result = tx.result().expect("a result frame");
+            let keys = ["masked", "detected", "sdc", "engine_mismatches", "trials"];
+            let mut want = [0i64; 5];
+            let (mut done, mut chunk) = (0usize, 0u64);
+            while done < trials {
+                let n = bitlevel::serve::protocol::MC_CHUNK.min(trials - done);
+                let rep = bitlevel::fault::monte_carlo_campaign(
+                    paper,
+                    u as usize,
+                    p,
+                    seed + chunk,
+                    n,
+                    rate,
+                );
+                for (w, got) in want.iter_mut().zip([
+                    rep.masked,
+                    rep.detected,
+                    rep.sdc,
+                    rep.engine_mismatches,
+                    rep.trials,
+                ]) {
+                    *w += got as i64;
+                }
+                done += n;
+                chunk += 1;
+            }
+            assert_eq!(
+                counts(result, &keys),
+                want,
+                "{design:?} ({u},{p}) seed {seed}: {keys:?}"
+            );
+        }
+        for (u, p) in [(2i64, 2usize), (2, 3)] {
+            let scalar = bitlevel::fault::single_fault_campaign(paper, u as usize, p, 7);
+            for width in [1usize, 7, 64, 1000] {
+                id += 1;
+                let mode = CampaignMode::Batched { seed: 7, width };
+                let tx = client
+                    .request_collect(&campaign(id, u, p, design, mode))
+                    .expect("campaign completes");
+                let result = tx.result().expect("a result frame");
+                let width = width.min(64);
+                let want = [
+                    scalar.total,
+                    scalar.total.div_ceil(width),
+                    scalar.masked,
+                    scalar.detected,
+                    scalar.sdc,
+                ]
+                .map(|n| n as i64);
+                let keys = ["total", "walks", "masked", "detected", "sdc"];
+                assert_eq!(
+                    counts(result, &keys),
+                    want,
+                    "{design:?} ({u},{p}) width {width}: {keys:?}"
+                );
+            }
+        }
+    }
+    handle.shutdown();
+    handle.join();
+}
+
 #[test]
 fn stats_report_the_cache_delta_and_shutdown_acks() {
     let handle = start();
