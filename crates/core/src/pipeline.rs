@@ -986,8 +986,26 @@ impl DesignFlow {
         bitlevel_fault::batched_single_fault_campaign(design, u, p, seed, width, &self.cache)
     }
 
+    /// The counts of [`DesignFlow::batched_single_fault_campaign`], from the
+    /// same walks, without the per-case list or the vulnerability map.
+    ///
+    /// # Panics
+    /// Panics unless the flow is an Expansion II matmul.
+    pub fn batched_single_fault_counts(
+        &self,
+        design: PaperDesign,
+        seed: u64,
+        width: usize,
+    ) -> bitlevel_fault::BatchedCampaignCounts {
+        let (u, p) = self.campaign_shape();
+        bitlevel_fault::batched_single_fault_counts(design, u, p, seed, width, &self.cache)
+    }
+
     /// Seeded Monte Carlo multi-fault campaign through the flow's shared
-    /// [`CompileCache`] (see [`DesignFlow::single_fault_campaign`]).
+    /// [`CompileCache`] (see [`DesignFlow::single_fault_campaign`]), up to
+    /// [`MAX_LANES`] trials per walk on both the interpreted and the
+    /// compiled engine. The report equals the scalar dual-engine
+    /// [`bitlevel_fault::monte_carlo_campaign_with_cache`]'s.
     ///
     /// # Panics
     /// Panics unless the flow is an Expansion II matmul.
@@ -999,15 +1017,7 @@ impl DesignFlow {
         rate: f64,
     ) -> bitlevel_fault::MonteCarloReport {
         let (u, p) = self.campaign_shape();
-        bitlevel_fault::monte_carlo_campaign_with_cache(
-            design,
-            u,
-            p,
-            seed,
-            trials,
-            rate,
-            &self.cache,
-        )
+        bitlevel_fault::batched_monte_carlo_campaign(design, u, p, seed, trials, rate, &self.cache)
     }
 
     fn campaign_shape(&self) -> (usize, usize) {

@@ -642,25 +642,25 @@ fn handle_campaign(
             ]))
         }
         CampaignMode::Batched { seed, width } => {
-            let rep = flow.batched_single_fault_campaign(paper, seed, width);
+            let counts = flow.batched_single_fault_counts(paper, seed, width);
             ctx.progress(Json::obj(vec![
                 ("stage", Json::str("campaign")),
-                ("cases", Json::from(rep.total)),
-                ("walks", Json::from(rep.walks)),
+                ("cases", Json::from(counts.total)),
+                ("walks", Json::from(counts.walks)),
             ]));
             Ok(Json::obj(vec![
                 ("mode", Json::str("batched")),
-                ("design", Json::str(rep.design.clone())),
-                ("seed", Json::from(rep.seed)),
-                ("width", Json::from(rep.width)),
-                ("walks", Json::from(rep.walks)),
-                ("total", Json::from(rep.total)),
-                ("masked", Json::from(rep.masked)),
-                ("detected", Json::from(rep.detected)),
-                ("sdc", Json::from(rep.sdc)),
+                ("design", Json::str(format!("{paper:?}"))),
+                ("seed", Json::from(seed)),
+                ("width", Json::from(counts.width)),
+                ("walks", Json::from(counts.walks)),
+                ("total", Json::from(counts.total)),
+                ("masked", Json::from(counts.masked)),
+                ("detected", Json::from(counts.detected)),
+                ("sdc", Json::from(counts.sdc)),
                 (
                     "classifications_partition",
-                    Json::Bool(rep.classifications_partition()),
+                    Json::Bool(counts.classifications_partition()),
                 ),
             ]))
         }

@@ -14,6 +14,7 @@
 //! implements the full-adder/wide-adder semantics of the Expansion II matmul
 //! structure (3.12), matching [`crate::bit_array::BitMatmulArray`] exactly.
 
+use crate::batch::{BatchRun, LaneCellSemantics, Wordwise};
 use crate::fault::{FaultInjector, NoFaults, TransferFault};
 use crate::trace::{NullSink, TraceEvent, TraceSink};
 use bitlevel_arith::{full_add, to_bits, wide_add, Bit};
@@ -478,6 +479,21 @@ where
         violations,
         peak_in_flight,
     }
+}
+
+/// [`run_clocked`] over lane-packed tokens — the interpreted counterpart of
+/// [`crate::compiled::CompiledSchedule::execute_batch`]. The engine runs the
+/// packed cells as semantics whose bundles are words, so one interpreted
+/// walk simulates every lane, and the run comes back in the same dense
+/// [`BatchRun`] form: outputs in slot order, schedule-wide results once.
+pub fn run_clocked_batch<L: LaneCellSemantics>(
+    alg: &AlgorithmTriplet,
+    t: &MappingMatrix,
+    ic: &Interconnect,
+    lanes: &L,
+) -> BatchRun<L::Packed> {
+    let run = run_clocked(alg, t, ic, &mut Wordwise(lanes));
+    BatchRun::from_clocked(run, &alg.index_set, lanes.lanes())
 }
 
 /// The signal bundle of one Expansion II matmul cell.

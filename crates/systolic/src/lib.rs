@@ -56,8 +56,8 @@ pub use batch::{
 };
 pub use bit_array::{BitMatmulArray, BitMatmulRun};
 pub use clocked::{
-    run_clocked, run_clocked_faulted, run_clocked_traced, CellSemantics, ClockedRun,
-    ClockedViolation, MatmulExpansionIICells, MatmulSignals, SyncCellSemantics,
+    run_clocked, run_clocked_batch, run_clocked_faulted, run_clocked_traced, CellSemantics,
+    ClockedRun, ClockedViolation, MatmulExpansionIICells, MatmulSignals, SyncCellSemantics,
 };
 pub use compiled::{
     run_clocked_compiled, simulate_mapped_compiled, BackendConfigError, CompileError,

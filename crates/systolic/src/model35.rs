@@ -477,11 +477,11 @@ impl Model35LaneCells {
             words.clear();
             for i in 1..=p {
                 let q = tail.concat(&IVec::from([i as i64, 1]));
-                words.push(run.outputs[&q].s);
+                words.push(run.output(&q).s);
             }
             for i in p + 1..=2 * p - 1 {
                 let q = tail.concat(&IVec::from([p as i64, (i - p + 1) as i64]));
-                words.push(run.outputs[&q].s);
+                words.push(run.output(&q).s);
             }
             for (lane, results) in out.iter_mut().enumerate() {
                 bits.clear();

@@ -318,7 +318,9 @@ impl PartitionedSchedule {
         semantics: &S,
         sink: &mut K,
     ) -> ClockedRun<S::Bundle> {
-        self.sched.walk(semantics, sink, &NoFaults, Some(self))
+        self.sched
+            .walk(semantics, sink, &NoFaults, Some(self))
+            .into_clocked()
     }
 
     /// [`PartitionedSchedule::execute`] under a [`FaultInjector`]. A live
@@ -336,7 +338,9 @@ impl PartitionedSchedule {
         K: TraceSink,
         F: FaultInjector<S::Bundle>,
     {
-        self.sched.walk(semantics, sink, faults, Some(self))
+        self.sched
+            .walk(semantics, sink, faults, Some(self))
+            .into_clocked()
     }
 
     /// Lane-packed batch walk over the shard layout: up to 64 problem
