@@ -20,12 +20,16 @@
 //! * **Cycle-sliced parallelism** — when every exercised dependence column
 //!   has `Π·d̄ > 0` (which mapping feasibility enforces), any two points that
 //!   share a cycle are independent: a producer of either would need
-//!   `Π·d̄ = 0`. Each cycle's slice is therefore executed rayon-parallel; the
-//!   bookkeeping that the interpreted engine interleaves (violations,
-//!   in-flight counts) stays sequential in slot order, so results are
-//!   **bit-identical** — violations, `peak_in_flight` and all. Schedules with
-//!   a non-positive column budget fall back to a sequential dense replay of
-//!   the interpreted semantics.
+//!   `Π·d̄ = 0`. Each cycle's slice is therefore executed rayon-parallel.
+//!   Schedules with a non-positive column budget fall back to a sequential
+//!   dense replay of the interpreted semantics.
+//! * **Bookkeeping once per schedule** — the accounting that the interpreted
+//!   engine interleaves with its computes (violations, in-flight counts,
+//!   trace events) is one sequential pass in the original fire order after
+//!   the value phase, so results are **bit-identical** — violations,
+//!   `peak_in_flight` and all. Without a trace sink or a fault injector that
+//!   pass depends on `(J, D, T, P)` alone: the first such walk stores its
+//!   result on the schedule and every later one reuses it.
 //!
 //! [`run_clocked_compiled`] and [`simulate_mapped_compiled`] are drop-in
 //! counterparts of the interpreted entry points; [`SimBackend`] selects
@@ -43,6 +47,7 @@ use bitlevel_mapping::{Interconnect, MappingMatrix, Routing};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Which simulation engine executes a mapped algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -212,6 +217,30 @@ impl<B> Default for SlotScratch<B> {
     }
 }
 
+/// What the bookkeeping pass of a value walk returns.
+#[derive(Debug, Clone)]
+pub(crate) struct Bookkeeping {
+    /// Every violation, in the interpreted engine's order.
+    pub(crate) violations: Vec<ClockedViolation>,
+    /// Per-column in-flight peaks.
+    pub(crate) peak_in_flight: Vec<u64>,
+}
+
+/// The [`Bookkeeping`] of a faultless untraced walk, filled by the first
+/// such walk. It is derived from the schedule's other fields, so it is
+/// neither persisted nor compared: two schedules are `==` whether or not
+/// either has been walked.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BookkeepingMemo(pub(crate) OnceLock<Bookkeeping>);
+
+impl PartialEq for BookkeepingMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for BookkeepingMemo {}
+
 /// A `(alg, T, ic)` triple compiled into flat dense-slot arrays.
 ///
 /// Build once with [`CompiledSchedule::compile`], then run any number of
@@ -269,6 +298,9 @@ pub struct CompiledSchedule {
     /// Every exercised column has `Π·d̄ > 0`: same-cycle points are
     /// independent and each cycle slice may execute in parallel.
     pub(crate) causal: bool,
+    /// The faultless untraced bookkeeping, empty until the first walk that
+    /// needs it.
+    pub(crate) bookkeeping: BookkeepingMemo,
 }
 
 impl CompiledSchedule {
@@ -495,6 +527,7 @@ impl CompiledSchedule {
             fire_order,
             n_links: ic.count(),
             causal,
+            bookkeeping: BookkeepingMemo::default(),
         })
     }
 
@@ -541,7 +574,7 @@ impl CompiledSchedule {
     /// re-reads the previous token of the edge class — unless the real token
     /// is missing, which dominates) and output faults mutate the bundle
     /// before it settles into the arena. Fault *events* are reconstructed
-    /// later in the bookkeeping phase; descriptions returned here are
+    /// later in the bookkeeping pass; descriptions returned here are
     /// discarded. With [`NoFaults`] every fault branch compiles away.
     #[inline]
     pub(crate) fn compute_slot<S: SyncCellSemantics, F: FaultInjector<S::Bundle>>(
@@ -603,8 +636,8 @@ impl CompiledSchedule {
     }
 
     /// [`CompiledSchedule::execute`] with a [`TraceSink`]. Events are
-    /// reconstructed during the sequential bookkeeping phase — the rayon
-    /// value slices stay untouched — and the emitted stream is **identical**
+    /// reconstructed by the sequential bookkeeping pass — the rayon value
+    /// slices stay untouched — and the emitted stream is **identical**
     /// to [`crate::clocked::run_clocked_traced`]'s on the same inputs. With
     /// [`NullSink`] the guards compile away and this *is* `execute`.
     pub fn execute_traced<S: SyncCellSemantics, K: TraceSink>(
@@ -645,8 +678,11 @@ impl CompiledSchedule {
 
     /// The value-carrying schedule walk behind every compiled entry point:
     /// scalar and lane-packed (through [`Wordwise`]), compiled and
-    /// partitioned. Each cycle runs a value phase over its slice, then the
-    /// sequential bookkeeping over the original fire order.
+    /// partitioned. A value phase computes every slot cycle by cycle, and
+    /// then [`CompiledSchedule::bookkeeping_pass`] replays the original fire
+    /// order for violations, in-flight peaks and every trace event. A
+    /// faultless untraced walk skips that pass: it reads the result the
+    /// first such walk stored on the schedule.
     ///
     /// The one variable part is how a causal slice computes its values:
     /// rayon over the slice's points, or one task per shard of `shards`
@@ -669,18 +705,11 @@ impl CompiledSchedule {
         F: FaultInjector<S::Bundle>,
     {
         debug_assert!(shards.is_none_or(|p| std::ptr::eq(&**p.schedule(), self)));
-        self.emit_clocked_route_events(sink);
         let mut arena: Vec<Option<S::Bundle>> = vec![None; self.n_points];
-        let mut violations = Vec::new();
-        let mut in_flight = vec![0u64; self.m];
-        let mut peak_in_flight = vec![0u64; self.m];
-        // Per-cycle duplicate-fire scratch over dense processor ids.
-        let mut fired = vec![false; self.proc_coords.len()];
         let mut scratch: SlotScratch<S::Bundle> = SlotScratch::default();
         let mut computed: Vec<(u32, S::Bundle)> = Vec::new();
 
         for k in 0..self.cycle_values.len() {
-            let c = self.cycle_values[k];
             let slice = &self.fire_order[self.cycle_offsets[k]..self.cycle_offsets[k + 1]];
 
             // Value phase. In a causal schedule every producer fired in an
@@ -718,20 +747,21 @@ impl CompiledSchedule {
                     arena[s as usize] = Some(bundle);
                 }
             }
-
-            self.cycle_bookkeeping(
-                c,
-                slice,
-                &arena,
-                sink,
-                faults,
-                &mut violations,
-                &mut in_flight,
-                &mut peak_in_flight,
-                &mut fired,
-            );
         }
 
+        // With no sink to feed and no injector to consult, the pass depends
+        // on the schedule alone.
+        let Bookkeeping {
+            violations,
+            peak_in_flight,
+        } = if K::ENABLED || F::ENABLED {
+            self.bookkeeping_pass(&arena, sink, faults)
+        } else {
+            self.bookkeeping
+                .0
+                .get_or_init(|| self.bookkeeping_pass(&arena, &mut NullSink, &NoFaults))
+                .clone()
+        };
         let cycles = match (self.cycle_values.first(), self.cycle_values.last()) {
             (Some(a), Some(b)) => b - a + 1,
             _ => 0,
@@ -784,29 +814,45 @@ impl CompiledSchedule {
         }
     }
 
-    /// The sequential per-cycle bookkeeping of the value walk. The mutation
-    /// sequence on violations / in-flight counters is exactly the
-    /// interpreted engine's; it reads arena *presence*, never token values,
-    /// so it is agnostic to whether tokens are scalar bundles or lane-packed
-    /// words.
-    #[allow(clippy::too_many_arguments)]
-    fn cycle_bookkeeping<B, K, F>(
+    /// The bookkeeping pass of the value walk: the route prologue, then the
+    /// original fire order with the interpreted engine's exact mutation
+    /// sequence on violations and in-flight counters, emitting every event
+    /// of the walk. It reads a token only to re-derive output-fault
+    /// descriptions under a live sink and injector, which the injector
+    /// contract makes a pure function of `(cycle, point, processor)`. Each
+    /// slot is written once, so the pass may follow the whole value phase,
+    /// and it is agnostic to whether tokens are scalar bundles or
+    /// lane-packed words.
+    fn bookkeeping_pass<B, K, F>(
         &self,
-        c: i64,
-        slice: &[u32],
         arena: &[Option<B>],
         sink: &mut K,
         faults: &F,
-        violations: &mut Vec<ClockedViolation>,
-        in_flight: &mut [u64],
-        peak_in_flight: &mut [u64],
-        fired: &mut [bool],
-    ) where
+    ) -> Bookkeeping
+    where
         B: Clone + std::fmt::Debug,
         K: TraceSink,
         F: FaultInjector<B>,
     {
-        {
+        self.emit_clocked_route_events(sink);
+        let mut violations = Vec::new();
+        let mut in_flight = vec![0u64; self.m];
+        let mut peak_in_flight = vec![0u64; self.m];
+        // Per-cycle duplicate-fire scratch over dense processor ids.
+        let mut fired = vec![false; self.proc_coords.len()];
+        let mut violate = |sink: &mut K, c: i64, v: ClockedViolation| {
+            if K::ENABLED {
+                sink.record(TraceEvent::Violation {
+                    cycle: c,
+                    description: v.to_string(),
+                });
+            }
+            violations.push(v);
+        };
+
+        for k in 0..self.cycle_values.len() {
+            let c = self.cycle_values[k];
+            let slice = &self.fire_order[self.cycle_offsets[k]..self.cycle_offsets[k + 1]];
             for &s in slice {
                 let s = s as usize;
                 let id = self.proc[s] as usize;
@@ -822,13 +868,7 @@ impl CompiledSchedule {
                         processor: self.proc_coords[id].to_string(),
                         cycle: c,
                     };
-                    if K::ENABLED {
-                        sink.record(TraceEvent::Violation {
-                            cycle: c,
-                            description: v.to_string(),
-                        });
-                    }
-                    violations.push(v);
+                    violate(sink, c, v);
                 }
                 fired[id] = true;
 
@@ -856,67 +896,36 @@ impl CompiledSchedule {
                     }
                     let src = self.producers[s * self.m + i] as usize;
                     let src_time = self.cycle[src];
+                    let consumer = || self.point(s).to_string();
                     if src_time > c || (src_time == c && src > s) {
                         // The producer had not fired when the interpreted
                         // engine gathered here (later cycle, or same cycle
                         // but later in slot order): a missing token.
                         let v = ClockedViolation::MissingToken {
-                            consumer: self.point(s).to_string(),
+                            consumer: consumer(),
                             column: i,
                         };
-                        if K::ENABLED {
-                            sink.record(TraceEvent::Violation {
-                                cycle: c,
-                                description: v.to_string(),
-                            });
-                        }
-                        violations.push(v);
+                        violate(sink, c, v);
                         continue;
                     }
                     if src_time >= c {
                         let v = ClockedViolation::CausalityOrder {
-                            consumer: self.point(s).to_string(),
+                            consumer: consumer(),
                             column: i,
                         };
-                        if K::ENABLED {
-                            sink.record(TraceEvent::Violation {
-                                cycle: c,
-                                description: v.to_string(),
-                            });
-                        }
-                        violations.push(v);
+                        violate(sink, c, v);
                     }
+                    let budget = c - src_time;
                     match self.clocked_hops[i] {
-                        Some(h) if h <= c - src_time => {}
-                        Some(h) => {
+                        Some(h) if h <= budget => {}
+                        hops => {
                             let v = ClockedViolation::RouteTooSlow {
-                                consumer: self.point(s).to_string(),
+                                consumer: consumer(),
                                 column: i,
-                                hops: h,
-                                budget: c - src_time,
+                                hops: hops.unwrap_or(-1),
+                                budget,
                             };
-                            if K::ENABLED {
-                                sink.record(TraceEvent::Violation {
-                                    cycle: c,
-                                    description: v.to_string(),
-                                });
-                            }
-                            violations.push(v);
-                        }
-                        None => {
-                            let v = ClockedViolation::RouteTooSlow {
-                                consumer: self.point(s).to_string(),
-                                column: i,
-                                hops: -1,
-                                budget: c - src_time,
-                            };
-                            if K::ENABLED {
-                                sink.record(TraceEvent::Violation {
-                                    cycle: c,
-                                    description: v.to_string(),
-                                });
-                            }
-                            violations.push(v);
+                            violate(sink, c, v);
                         }
                     }
                     if K::ENABLED {
@@ -924,7 +933,7 @@ impl CompiledSchedule {
                             cycle: c,
                             column: i,
                             at: self.point(s),
-                            slack: c - src_time,
+                            slack: budget,
                         });
                     }
                     *fl = fl.saturating_sub(1);
@@ -940,12 +949,9 @@ impl CompiledSchedule {
                 }
                 if F::ENABLED && K::ENABLED {
                     // Re-derive the output-fault descriptions for event
-                    // emission on a scratch clone: the injector contract
-                    // makes them a pure function of (cycle, point,
-                    // processor), so the arena value stays untouched.
-                    let mut scratch = arena[s]
-                        .clone()
-                        .expect("slot fired in this cycle's value phase");
+                    // emission on a scratch clone, so the arena value stays
+                    // untouched.
+                    let mut scratch = arena[s].clone().expect("every slot fires exactly once");
                     let q = self.point(s);
                     for kind in faults.on_output(c, &q, &self.proc_coords[id], &mut scratch) {
                         sink.record(TraceEvent::FaultInjected {
@@ -980,6 +986,10 @@ impl CompiledSchedule {
             for &s in slice {
                 fired[self.proc[s as usize] as usize] = false;
             }
+        }
+        Bookkeeping {
+            violations,
+            peak_in_flight,
         }
     }
 
@@ -1722,6 +1732,7 @@ mod tests {
             fire_order,
             n_links: ic.count(),
             causal,
+            bookkeeping: BookkeepingMemo::default(),
         })
     }
 
@@ -1939,5 +1950,85 @@ mod tests {
         assert!(sched.is_causal());
         let widest = sched.cycle_offsets.windows(2).map(|w| w[1] - w[0]).max();
         assert!(widest >= Some(PAR_THRESHOLD), "widest slice {widest:?}");
+    }
+
+    /// A live injector that drops every transfer along column 0.
+    struct DropColumnZero;
+
+    impl<B> FaultInjector<B> for DropColumnZero {
+        fn pe_dead(&self, _processor: &IVec) -> bool {
+            false
+        }
+
+        fn on_output(&self, _: i64, _: &IVec, _: &IVec, _bundle: &mut B) -> Vec<String> {
+            Vec::new()
+        }
+
+        fn on_transfer(&self, _cycle: i64, _point: &IVec, column: usize) -> TransferFault {
+            if column == 0 {
+                TransferFault::Drop
+            } else {
+                TransferFault::None
+            }
+        }
+    }
+
+    #[test]
+    fn only_untraced_faultless_walks_fill_and_read_the_bookkeeping_memo() {
+        use crate::trace::RecordingSink;
+        // Fig. 4's mapping on Fig. 5's interconnect: some routes miss their
+        // budgets, so the memo holds a non-empty violation list.
+        let (u, p) = (2usize, 2usize);
+        let alg = matmul_structure(u as i64, p as i64);
+        let t = PaperDesign::TimeOptimal.mapping(p as i64);
+        let ic = PaperDesign::NearestNeighbour.interconnect(p as i64);
+        let compile = || CompiledSchedule::try_compile(&alg, &t, &ic).expect("compiles");
+        let fresh = compile();
+        let decoded = CompiledSchedule::from_bytes(&fresh.to_bytes()).expect("decodes");
+        assert!(fresh.bookkeeping.0.get().is_none(), "try_compile filled it");
+        assert!(
+            decoded.bookkeeping.0.get().is_none(),
+            "from_bytes filled it"
+        );
+
+        let (x, y) = mats(u, p);
+        let cells = MatmulExpansionIICells::new(u, p, &x, &y);
+        let sched = compile();
+        let traced = sched.execute_traced(&cells, &mut RecordingSink::new());
+        assert!(!traced.violations.is_empty());
+        let faulted = sched.execute_faulted(&cells, &mut NullSink, &DropColumnZero);
+        assert_ne!(faulted.peak_in_flight, traced.peak_in_flight);
+        assert!(
+            sched.bookkeeping.0.get().is_none(),
+            "a traced or faulted walk filled the memo"
+        );
+
+        assert_runs_identical(&sched.execute(&cells), &traced);
+        let memo = sched
+            .bookkeeping
+            .0
+            .get()
+            .expect("the first untraced walk fills it");
+        assert_eq!(memo.violations, traced.violations);
+        assert_eq!(memo.peak_in_flight, traced.peak_in_flight);
+        assert!(sched == fresh, "a walked schedule differs from a fresh one");
+        assert!(
+            sched.to_bytes() == fresh.to_bytes(),
+            "the memo was serialised"
+        );
+
+        // A planted memo shows which walks read it.
+        let planted = compile();
+        let bogus = Bookkeeping {
+            violations: Vec::new(),
+            peak_in_flight: vec![u64::MAX; planted.m],
+        };
+        planted.bookkeeping.0.set(bogus).expect("empty");
+        let run = planted.execute(&cells);
+        assert!(run.violations.is_empty() && run.peak_in_flight[0] == u64::MAX);
+        let run = planted.execute_traced(&cells, &mut RecordingSink::new());
+        assert_runs_identical(&run, &traced);
+        let run = planted.execute_faulted(&cells, &mut NullSink, &DropColumnZero);
+        assert_runs_identical(&run, &faulted);
     }
 }

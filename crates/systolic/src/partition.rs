@@ -18,7 +18,7 @@
 //!   fire list per `(cycle, shard)`. Within a cycle each worker fires its
 //!   sub-slice locally sequentially against the *settled* arena (causality:
 //!   every producer fired in an earlier slice), queues its products, and the
-//!   barrier drains all queues into the shared arena before bookkeeping.
+//!   barrier drains all queues into the shared arena before the next slice.
 //! * **Bit identity** — the value phase only re-orders *independent*
 //!   computations (the schedule must be causal — [`PartitionError::NotCausal`]
 //!   otherwise); the sequential bookkeeping runs over the **original** fire
@@ -311,7 +311,7 @@ impl PartitionedSchedule {
 
     /// [`PartitionedSchedule::execute`] with a [`TraceSink`]; the emitted
     /// stream is identical to [`CompiledSchedule::execute_traced`]'s because
-    /// all events come out of the sequential bookkeeping phase, which walks
+    /// all events come out of the sequential bookkeeping pass, which walks
     /// the original fire order.
     pub fn execute_traced<S: SyncCellSemantics, K: TraceSink>(
         &self,

@@ -23,7 +23,7 @@
 //! order being a permutation) so even a checksum-colliding forgery cannot
 //! produce out-of-bounds indices at execution time.
 
-use crate::compiled::{CompiledSchedule, NO_SLOT};
+use crate::compiled::{BookkeepingMemo, CompiledSchedule, NO_SLOT};
 use bitlevel_linalg::IVec;
 use std::fmt;
 
@@ -438,6 +438,7 @@ impl CompiledSchedule {
             fire_order,
             n_links,
             causal,
+            bookkeeping: BookkeepingMemo::default(),
         })
     }
 }

@@ -8,6 +8,10 @@
 //!   transient flips, dropped and duplicated transfers.
 //! * The compiled faulted mapped report matches the interpreted timing
 //!   simulator under the same plans.
+//! * Untraced faultless walks, which reuse the bookkeeping the first such
+//!   walk stores on the schedule, match the traced walks and the interpreted
+//!   engine on a walked schedule, its clone and its `.blsc` round trip, also
+//!   when several threads race the first walk.
 //!
 //! Cases: Fig. 4 and Fig. 5 at (u, p) ∈ {(2,2), (3,2), (2,3)}, plus Fig. 4's
 //! mapping on Fig. 5's interconnect, where some columns cannot be routed
@@ -15,14 +19,14 @@
 
 use bitlevel::fault::{matmul_structure, operand_matrices};
 use bitlevel::systolic::{
-    run_clocked_faulted, simulate_mapped_faulted, simulate_mapped_traced, MatmulExpansionIICells,
-    MatmulLaneCells, NoFaults,
+    run_clocked, run_clocked_faulted, simulate_mapped_faulted, simulate_mapped_traced, ClockedRun,
+    MatmulExpansionIICells, MatmulLaneCells, MatmulSignals, NoFaults,
 };
 use bitlevel::{
     AlgorithmTriplet, CompiledSchedule, FaultKind, FaultPlan, Interconnect, MappingMatrix,
     PaperDesign, PartitionedSchedule, RandomFault, RecordingSink, TargetedFault, TraceEvent,
 };
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 const SHAPES: [(usize, usize); 3] = [(2, 2), (3, 2), (2, 3)];
 
@@ -350,4 +354,112 @@ fn faulted_mapped_reports_match_the_interpreted_simulator() {
         kinds[0] > 0 && kinds[2] > 0 && kinds[3] > 0,
         "some fault kind never fired: {kinds:?}"
     );
+}
+
+/// Asserts that two runs agree in outputs, violations (in order), cycles and
+/// `peak_in_flight`.
+fn assert_same_run(got: &ClockedRun<MatmulSignals>, want: &ClockedRun<MatmulSignals>, what: &str) {
+    assert_eq!(got.outputs, want.outputs, "{what}: outputs");
+    assert_eq!(got.violations, want.violations, "{what}: violations");
+    assert_eq!(got.cycles, want.cycles, "{what}: cycles");
+    assert_eq!(got.peak_in_flight, want.peak_in_flight, "{what}: peaks");
+}
+
+#[test]
+fn untraced_walks_reuse_the_schedule_bookkeeping() {
+    let mut illegal = 0;
+    for case in cases() {
+        let cells = case.cells(11);
+        let lanes = case.lanes(11);
+        let run_oracle = |seed| run_clocked(&case.alg, &case.t, &case.ic, &mut case.cells(seed));
+        let oracle = vec![run_oracle(11)];
+        let lane_oracles: Vec<_> = (0..LANES as u64).map(|l| run_oracle(11 + l)).collect();
+        illegal += usize::from(!oracle[0].violations.is_empty());
+
+        let sched = case.schedule();
+        let traced = vec![sched.execute_traced(&cells, &mut RecordingSink::new())];
+        let traced_lanes = sched
+            .execute_batch_traced(&lanes, &mut RecordingSink::new())
+            .lane_runs(&lanes);
+
+        // One untraced entry point, its runs given per lane: the compiled or
+        // partitioned engine, scalar or lane-packed.
+        let untraced = |sched: &Arc<CompiledSchedule>, workers: Option<usize>, batch: bool| {
+            let part = |k| PartitionedSchedule::try_new(Arc::clone(sched), k).expect("causal");
+            match (workers, batch) {
+                (None, false) => vec![sched.execute(&cells)],
+                (None, true) => sched.execute_batch(&lanes).lane_runs(&lanes),
+                (Some(k), false) => vec![part(k).execute(&cells)],
+                (Some(k), true) => part(k).execute_batch(&lanes).lane_runs(&lanes),
+            }
+        };
+        let pools = std::iter::once(None).chain(WORKERS.map(Some));
+        for (workers, batch) in pools.flat_map(|w| [(w, false), (w, true)]) {
+            let (traced, oracle) = if batch {
+                (&traced_lanes, &lane_oracles)
+            } else {
+                (&traced, &oracle)
+            };
+            let check = |sched: &Arc<CompiledSchedule>, what: &str| {
+                let runs = untraced(sched, workers, batch);
+                assert_eq!(runs.len(), traced.len());
+                for (l, run) in runs.iter().enumerate() {
+                    let what = format!(
+                        "{}: workers {workers:?}, batch {batch}, {what}, lane {l}",
+                        case.name
+                    );
+                    assert_same_run(run, &traced[l], &format!("{what} vs traced"));
+                    assert_same_run(run, &oracle[l], &format!("{what} vs interpreted"));
+                }
+            };
+            // The first walk fills the stored bookkeeping, the second reads it.
+            let sched = case.schedule();
+            check(&sched, "first walk");
+            check(&sched, "second walk");
+            check(&Arc::new(CompiledSchedule::clone(&sched)), "clone");
+            let decoded = CompiledSchedule::from_bytes(&sched.to_bytes()).expect("round trip");
+            check(&Arc::new(decoded), ".blsc round trip");
+        }
+    }
+    assert!(illegal > 0, "no case had a violation to reuse");
+}
+
+#[test]
+fn racing_first_untraced_walks_all_see_the_traced_run() {
+    let case = Case::new(
+        2,
+        2,
+        PaperDesign::TimeOptimal,
+        PaperDesign::NearestNeighbour,
+    );
+    let lanes = case.lanes(3);
+    let traced = case
+        .schedule()
+        .execute_batch_traced(&lanes, &mut RecordingSink::new());
+    assert!(!traced.violations.is_empty());
+    for threads in 2..=4 {
+        let sched = case.schedule();
+        let start = Barrier::new(threads);
+        let runs: Vec<_> = std::thread::scope(|scope| {
+            let walkers: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        sched.execute_batch(&lanes)
+                    })
+                })
+                .collect();
+            walkers
+                .into_iter()
+                .map(|w| w.join().expect("walker panicked"))
+                .collect()
+        });
+        for (k, run) in runs.iter().enumerate() {
+            let what = format!("{threads} threads, walker {k}");
+            assert_eq!(run.outputs, traced.outputs, "{what}");
+            assert_eq!(run.violations, traced.violations, "{what}");
+            assert_eq!(run.cycles, traced.cycles, "{what}");
+            assert_eq!(run.peak_in_flight, traced.peak_in_flight, "{what}");
+        }
+    }
 }
