@@ -51,8 +51,8 @@ pub mod viz;
 pub mod word_array;
 
 pub use batch::{
-    BatchRun, LaneCellSemantics, LaneFaultMasks, LaneFaultedCells, LanePackedBundle, LaneView,
-    MatmulLaneCells, MatmulLaneSignals, MAX_LANES,
+    BatchRun, GoldenBatch, LaneCellSemantics, LaneFaultMasks, LaneFaultedCells, LanePackedBundle,
+    LaneView, MatmulLaneCells, MatmulLaneSignals, MAX_LANES,
 };
 pub use bit_array::{BitMatmulArray, BitMatmulRun};
 pub use clocked::{
