@@ -1610,7 +1610,7 @@ pub fn e21_seeded(seed: u64) -> ExperimentOutcome {
         .expect("the 7-column matmul structure compiles");
     let part = PartitionedSchedule::try_new(std::sync::Arc::new(sched), 8)
         .expect("paper schedules are causal");
-    let prun = part.execute(&cells);
+    let prun = part.schedule().execute(&cells);
     let stats = part.stats();
     t.push(Record::eq(
         "virtual PEs of the (8, 4) Fig. 4 array",

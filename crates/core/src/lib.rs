@@ -47,9 +47,9 @@ pub use bitlevel_cache::{schedule_key, CacheKey, CacheOutcome, CacheStats, Compi
 pub use bitlevel_depanal::{compare_analyses, compose, expand, Expansion};
 pub use bitlevel_fault::{
     batched_single_fault_campaign, monte_carlo_campaign, monte_carlo_campaign_with_cache,
-    partitioned_single_fault_campaign, single_fault_campaign, single_fault_campaign_with_cache,
-    BatchedFaultCampaignReport, BatchedFaultCase, FaultCampaignReport, FaultKind, FaultOutcome,
-    FaultPlan, MonteCarloReport, PartitionedCampaignReport, RandomFault, TargetedFault,
+    single_fault_campaign, single_fault_campaign_with_cache, BatchedFaultCampaignReport,
+    BatchedFaultCase, FaultCampaignReport, FaultKind, FaultOutcome, FaultPlan, MonteCarloReport,
+    RandomFault, TargetedFault,
 };
 pub use bitlevel_ir::{AlgorithmTriplet, BoxSet, WordLevelAlgorithm};
 pub use bitlevel_mapping::{

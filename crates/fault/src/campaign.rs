@@ -17,8 +17,7 @@
 //!   interpreted *and* the compiled engine, one full walk per case;
 //! * [`batched_single_fault_campaign`] — the lane-packed production path:
 //!   up to 64 distinct fault cases ride the bit-lanes of **one** word-wide
-//!   compiled walk, walks are distributed across threads, and all lanes
-//!   classify in one pass — case-for-case bit-identical to the scalar sweep
+//!   compiled walk, and all lanes of a walk classify in one pass — case-for-case bit-identical to the scalar sweep
 //!   (a report method checks exactly that). The walks are differential:
 //!   one clean walk runs per request, and each packed walk re-fires only
 //!   the slots its flips disturb ([`bitlevel_systolic::GoldenBatch`]), equal
@@ -50,9 +49,8 @@ use bitlevel_mapping::PaperDesign;
 use bitlevel_systolic::{
     run_clocked_batch, run_clocked_faulted, BatchRun, BitMatmulArray, CompiledSchedule,
     FaultableBundle, LaneFaultMasks, LaneFaultedCells, MatmulExpansionIICells, MatmulLaneCells,
-    MatmulLaneSignals, MatmulSignals, NullSink, PartitionStats, PartitionedSchedule, MAX_LANES,
+    MatmulLaneSignals, MatmulSignals, NullSink, MAX_LANES,
 };
-use rayon::prelude::*;
 
 use crate::abft::{FaultOutcome, MatmulChecksums};
 use crate::plan::{splitmix64, FaultKind, FaultPlan, RandomFault, TargetedFault};
@@ -269,8 +267,8 @@ impl CampaignRig {
     /// bundle's fault bits) at the point of slot `⌊i/b⌋` and rides lane
     /// `i mod width` of walk `⌊i/width⌋`. One clean walk runs first; each
     /// faulted walk then re-fires only the slots its flips disturb
-    /// ([`GoldenBatch::faulted`]). Walks are independent, so they are
-    /// distributed across threads.
+    /// ([`GoldenBatch::faulted`]). Walks run in sweep order and their
+    /// outcomes append to one vector sized for the whole sweep.
     ///
     /// [`GoldenBatch::faulted`]: bitlevel_systolic::GoldenBatch::faulted
     fn batched_outcomes(&self, width: usize) -> Vec<FaultOutcome> {
@@ -280,19 +278,17 @@ impl CampaignRig {
         // read back.
         let cells = self.lane_cells(width);
         let golden = self.sched.golden_batch(&cells);
-        let walks: Vec<Vec<FaultOutcome>> = (0..total.div_ceil(width))
-            .into_par_iter()
-            .map(|walk| {
-                let cases = walk * width..total.min((walk + 1) * width);
-                let mut masks = LaneFaultMasks::new(&self.alg.index_set);
-                for (lane, case) in cases.clone().enumerate() {
-                    masks.flip_slot(case / bits, case % bits, lane);
-                }
-                let run = golden.faulted(&masks);
-                self.classify_lanes(&cells, &run, cases.len())
-            })
-            .collect();
-        walks.concat()
+        let mut outcomes = Vec::with_capacity(total);
+        for walk in 0..total.div_ceil(width) {
+            let cases = walk * width..total.min((walk + 1) * width);
+            let mut masks = LaneFaultMasks::new(&self.alg.index_set);
+            for (lane, case) in cases.clone().enumerate() {
+                masks.flip_slot(case / bits, case % bits, lane);
+            }
+            let run = golden.faulted(&masks);
+            outcomes.extend(self.classify_lanes(&cells, &run, cases.len()));
+        }
+        outcomes
     }
 
     /// Runs one plan on both engines and classifies each output.
@@ -778,8 +774,7 @@ impl BatchedCampaignCounts {
 /// product bits). One clean walk runs first, and each chunk's walk starts
 /// from it and re-fires only the slots its flips disturb
 /// ([`bitlevel_systolic::GoldenBatch::faulted`], equal to a full
-/// [`LaneFaultedCells`] walk). Chunks are independent, so the walk list is
-/// distributed across threads. The schedule compiles once through `cache`
+/// [`LaneFaultedCells`] walk). The schedule compiles once through `cache`
 /// — shared with any scalar campaign or pipeline using the same cache.
 ///
 /// Each case records its point's slot and its fault; the report keeps one
@@ -863,198 +858,6 @@ pub fn batched_single_fault_counts(
     BatchedCampaignCounts::tally(width, &rig.batched_outcomes(width))
 }
 
-/// One case of a partitioned exhaustive sweep: a single injected fault run
-/// on the LSGP-partitioned engine and the compiled engine.
-#[derive(Debug, Clone)]
-pub struct PartitionedFaultCase {
-    /// The injected fault.
-    pub kind: FaultKind,
-    /// The index point it hit.
-    pub point: IVec,
-    /// The processor executing that point.
-    pub pe: IVec,
-    /// The firing cycle.
-    pub cycle: i64,
-    /// Classification of the partitioned-engine run.
-    pub partitioned: FaultOutcome,
-    /// Classification of the compiled-backend run.
-    pub compiled: FaultOutcome,
-}
-
-impl PartitionedFaultCase {
-    /// True iff both engines classified identically.
-    pub fn agree(&self) -> bool {
-        self.partitioned == self.compiled
-    }
-}
-
-/// Aggregate result of one partitioned exhaustive single-fault sweep.
-#[derive(Debug, Clone)]
-pub struct PartitionedCampaignReport {
-    /// Which paper design ran.
-    pub design: String,
-    /// Matrix dimension.
-    pub u: usize,
-    /// Word length.
-    pub p: usize,
-    /// Operand seed.
-    pub seed: u64,
-    /// Shard statistics of the partition every case executed on.
-    pub stats: PartitionStats,
-    /// Number of injected cases (`|J| ·` signal bits).
-    pub total: usize,
-    /// Cases whose output equalled the golden product.
-    pub masked: usize,
-    /// Cases caught by a nonzero syndrome.
-    pub detected: usize,
-    /// Silent-data-corruption cases (must be 0 for single transient flips).
-    pub sdc: usize,
-    /// Cases where the partitioned and compiled engines disagreed (must be
-    /// 0 — the partitioned faulted path is contractually bit-identical).
-    pub engine_mismatches: usize,
-    /// Per-PE count of non-masked cases, sorted by processor coordinates.
-    pub vulnerability: Vec<(IVec, u64)>,
-    /// Every case, in the scalar sweep's order.
-    pub cases: Vec<PartitionedFaultCase>,
-}
-
-impl PartitionedCampaignReport {
-    /// True iff `{masked, detected, sdc}` partitions the injected set.
-    pub fn classifications_partition(&self) -> bool {
-        self.masked + self.detected + self.sdc == self.total
-    }
-
-    /// The per-PE vulnerability as a map, ready for
-    /// [`bitlevel_systolic::render_fault_heatmap`].
-    pub fn vulnerability_map(&self) -> BTreeMap<IVec, u64> {
-        self.vulnerability.iter().cloned().collect()
-    }
-
-    /// True iff this partitioned sweep is case-for-case identical to a
-    /// scalar dual-engine sweep: same cases in the same order, every case's
-    /// classification equal to both scalar engines'.
-    pub fn matches_scalar(&self, scalar: &FaultCampaignReport) -> bool {
-        self.total == scalar.total
-            && self.cases.len() == scalar.cases.len()
-            && self.cases.iter().zip(&scalar.cases).all(|(q, s)| {
-                q.kind == s.kind
-                    && q.point == s.point
-                    && q.pe == s.pe
-                    && q.cycle == s.cycle
-                    && q.partitioned == s.interpreted
-                    && q.compiled == s.compiled
-            })
-    }
-}
-
-/// The exhaustive single-fault sweep executed on the LSGP-partitioned
-/// engine over a fixed pool of `workers` physical workers, every case
-/// cross-checked against the compiled engine.
-///
-/// Fault injection pins both engines to the interpreted sequential firing
-/// order (the partitioned engine's faulted path delegates to it by
-/// contract), so `engine_mismatches` must come out 0: the report *checks*
-/// that a worker-pool execution of the fault space classifies
-/// case-for-case identically to the unbounded virtual array, rather than
-/// assuming it. Compiles once through `cache`; the partition is built once
-/// and shared by every case.
-///
-/// # Panics
-/// Panics if the structure does not compile or the design's schedule is
-/// not causal (both paper designs are).
-pub fn partitioned_single_fault_campaign(
-    design: PaperDesign,
-    u: usize,
-    p: usize,
-    seed: u64,
-    workers: usize,
-    cache: &CompileCache,
-) -> PartitionedCampaignReport {
-    let alg = matmul_structure(u, p);
-    let t = design.mapping(p as i64);
-    let ic = design.interconnect(p as i64);
-    let (x, y) = operand_matrices(u, p, seed);
-    let golden = BitMatmulArray::new(u, p).reference(&x, &y);
-    let checksums = MatmulChecksums::derive(&x, &y, p);
-    let cells = MatmulExpansionIICells::new(u, p, &x, &y);
-    let (sched, _) = cache
-        .get_or_compile(&alg, &t, &ic)
-        .expect("paper-scale structures always fit the compiled representation");
-    let part = PartitionedSchedule::try_new(Arc::clone(&sched), workers)
-        .expect("the paper designs' schedules are causal, so they partition");
-
-    struct CaseDesc {
-        kind: FaultKind,
-        point: IVec,
-        pe: IVec,
-        cycle: i64,
-    }
-    let mut descs = Vec::new();
-    for point in alg.index_set.iter_points() {
-        let pe = t.place(&point);
-        let cycle = t.time(&point);
-        for bit in 0..MatmulSignals::fault_bits() {
-            descs.push(CaseDesc {
-                kind: FaultKind::TransientFlip { bit },
-                point: point.clone(),
-                pe: pe.clone(),
-                cycle,
-            });
-        }
-    }
-    let total = descs.len();
-
-    // Cases are independent: each one resolves its own plan and walks the
-    // shared partition/schedule, so the sweep distributes across threads.
-    let cases: Vec<PartitionedFaultCase> = descs
-        .par_iter()
-        .map(|case| {
-            let plan = FaultPlan {
-                seed,
-                targeted: vec![TargetedFault {
-                    kind: case.kind,
-                    pe: case.pe.clone(),
-                    cycle: Some(case.cycle),
-                }],
-                random: vec![],
-            };
-            let resolved = plan.resolve(&alg, &t);
-            let prun = part.execute_faulted(&cells, &mut NullSink, &resolved);
-            let crun = sched.execute_faulted(&cells, &mut NullSink, &resolved);
-            PartitionedFaultCase {
-                kind: case.kind,
-                point: case.point.clone(),
-                pe: case.pe.clone(),
-                cycle: case.cycle,
-                partitioned: checksums.classify(&golden, &cells.extract_product(&prun)),
-                compiled: checksums.classify(&golden, &cells.extract_product(&crun)),
-            }
-        })
-        .collect();
-
-    let mut vulnerability: BTreeMap<IVec, u64> = BTreeMap::new();
-    for case in &cases {
-        if case.partitioned != FaultOutcome::Masked {
-            *vulnerability.entry(case.pe.clone()).or_insert(0) += 1;
-        }
-    }
-    let count = |o: FaultOutcome| cases.iter().filter(|c| c.partitioned == o).count();
-    PartitionedCampaignReport {
-        design: format!("{design:?}"),
-        u,
-        p,
-        seed,
-        stats: part.stats().clone(),
-        total,
-        masked: count(FaultOutcome::Masked),
-        detected: count(FaultOutcome::Detected),
-        sdc: count(FaultOutcome::Sdc),
-        engine_mismatches: cases.iter().filter(|c| !c.agree()).count(),
-        vulnerability: vulnerability.into_iter().collect(),
-        cases,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1111,35 +914,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn partitioned_campaign_is_case_for_case_identical_to_scalar() {
-        // A fixed physical worker pool must not change a single fault
-        // classification: every case on the partitioned engine classifies
-        // exactly as both scalar engines do, at any pool size.
-        let cache = CompileCache::new();
-        for design in [PaperDesign::TimeOptimal, PaperDesign::NearestNeighbour] {
-            let scalar = single_fault_campaign_with_cache(design, 2, 2, 0xB17, &cache);
-            for workers in [1usize, 3, 8] {
-                let part = partitioned_single_fault_campaign(design, 2, 2, 0xB17, workers, &cache);
-                assert_eq!(part.total, scalar.total, "{design:?} workers {workers}");
-                assert!(part.classifications_partition());
-                assert_eq!(part.sdc, 0, "{design:?} workers {workers}");
-                assert_eq!(part.engine_mismatches, 0, "{design:?} workers {workers}");
-                assert!(
-                    part.matches_scalar(&scalar),
-                    "{design:?} workers {workers}: partitioned sweep diverged from scalar"
-                );
-                assert_eq!(part.stats.workers, workers, "{design:?} workers {workers}");
-                assert_eq!(
-                    part.vulnerability, scalar.vulnerability,
-                    "{design:?} workers {workers}"
-                );
-            }
-        }
-        // All six campaigns above walked one schedule per design.
-        assert_eq!(cache.stats().compiles(), 2);
     }
 
     #[test]

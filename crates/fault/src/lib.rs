@@ -21,10 +21,7 @@
 //!   engines, with the zero-SDC guarantee for single transient flips), its
 //!   lane-packed form [`batched_single_fault_campaign`] (up to 64 distinct
 //!   fault cases per word-wide compiled walk, case-for-case identical to
-//!   the scalar sweep), its worker-pool form
-//!   [`partitioned_single_fault_campaign`] (every case executed on an
-//!   LSGP-partitioned fixed physical pool and cross-checked against the
-//!   compiled engine) and seeded Monte Carlo multi-fault campaigns (scalar,
+//!   the scalar sweep) and seeded Monte Carlo multi-fault campaigns (scalar,
 //!   and lane-packed with up to 64 trials per walk on both engines), all
 //!   compiling through a shared `CompileCache`, exporting
 //!   [`FaultCampaignReport`] as CSV/JSON plus the per-PE vulnerability data
@@ -38,9 +35,9 @@ pub use abft::{checksum_modulus, FaultOutcome, MatmulChecksums, SyndromeSet};
 pub use campaign::{
     batched_monte_carlo_campaign, batched_single_fault_campaign, batched_single_fault_counts,
     matmul_structure, monte_carlo_campaign, monte_carlo_campaign_with_cache, operand_matrices,
-    partitioned_single_fault_campaign, single_fault_campaign, single_fault_campaign_with_cache,
-    BatchedCampaignCounts, BatchedFaultCampaignReport, BatchedFaultCase, FaultCampaignReport,
-    FaultCase, MonteCarloReport, MonteCarloTrial, PartitionedCampaignReport, PartitionedFaultCase,
+    single_fault_campaign, single_fault_campaign_with_cache, BatchedCampaignCounts,
+    BatchedFaultCampaignReport, BatchedFaultCase, FaultCampaignReport, FaultCase, MonteCarloReport,
+    MonteCarloTrial,
 };
 pub use plan::{
     FaultKind, FaultPlan, RandomFault, ResolvedFault, ResolvedFaultPlan, TargetedFault,

@@ -28,8 +28,8 @@
 //!    pair's time-minimal design — identical tie-breaking to
 //!    [`crate::schedule::find_optimal_schedule`].
 //!
-//! Pairs are explored rayon-parallel; the frontier itself is assembled
-//! sequentially, so results are deterministic.
+//! Pairs are explored one space at a time, in input order, so results are
+//! deterministic.
 
 use crate::error::MappingError;
 use crate::feasibility::check_feasibility;
@@ -38,7 +38,6 @@ use crate::schedule::{candidate_count, processor_count, total_time, MAX_SEARCH_C
 use crate::transform::MappingMatrix;
 use bitlevel_ir::AlgorithmTriplet;
 use bitlevel_linalg::{gcd_all, rank, IMat, IVec};
-use rayon::prelude::*;
 
 /// A named interconnect the explorer may assign to a design.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -293,9 +292,9 @@ pub fn explore(
         .collect();
     let cardinality = alg.index_set.cardinality();
 
-    // One task per space: machines share the per-S memo (rank, |S·J|, S·D).
+    // One pass per space: machines share the per-S memo (rank, |S·J|, S·D).
     let per_space: Vec<(Vec<FrontierPoint>, u128, usize)> = spaces
-        .par_iter()
+        .iter()
         .map(|space| {
             let mut points = Vec::new();
             let mut full_checks = 0u128;

@@ -13,7 +13,7 @@
 //!   solver under the timing budget (4.1), and buffer derivation;
 //! * [`conflict`] — condition 3 via kernel-lattice enumeration;
 //! * [`schedule`] — the execution-time formula (4.5), processor counting,
-//!   and the rayon-parallel search for time-optimal schedules (Theorem 4.5);
+//!   and the exhaustive search for time-optimal schedules (Theorem 4.5);
 //! * [`designs`] — the paper's two concrete matmul architectures (Figs. 4–5)
 //!   and the Section 4.2 word-level comparator in closed form;
 //! * [`explore`] — the Pareto design-space explorer over `(S, Π, machine)`

@@ -13,15 +13,13 @@
 //! entry bound, and for each runs the schedule search of
 //! [`crate::schedule::find_optimal_schedule`]; candidates are screened
 //! cheaply (nonzero, coprime, at least two distinct processor images) before
-//! the full Definition 4.1 machinery runs. Work is rayon-parallel across
-//! `S` candidates.
+//! the full Definition 4.1 machinery runs.
 
 use crate::interconnect::Interconnect;
 use crate::schedule::{find_optimal_schedule, processor_count};
 use crate::transform::MappingMatrix;
 use bitlevel_ir::AlgorithmTriplet;
 use bitlevel_linalg::{gcd_all, IMat, IVec};
-use rayon::prelude::*;
 
 /// A synthesised lower-dimensional design.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,7 +78,7 @@ pub fn find_linear_array_mapping(
     let examined = candidates.len();
 
     let best = candidates
-        .into_par_iter()
+        .into_iter()
         .filter_map(|s_row| {
             let space = IMat::from_flat(1, n, s_row.as_slice().to_vec());
             // Cheap screen: a useful array has more than one processor.

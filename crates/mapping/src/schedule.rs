@@ -5,8 +5,8 @@
 //! `Σᵢ |πᵢ|·(uᵢ − lᵢ) + 1`. Theorem 4.5 asserts that `Π = [1,1,1,2,1]` is
 //! **time optimal** for the bit-level matmul structure (3.12) with the space
 //! mapping `S` of (4.2); [`find_optimal_schedule`] reproduces that claim by
-//! exhaustive search over bounded schedule vectors (rayon-parallel — the
-//! search space is `(2B+1)ⁿ`).
+//! exhaustive search over bounded schedule vectors (the search space is
+//! `(2B+1)ⁿ`).
 //!
 //! All candidate counts are computed in `u128` (the `(2B+1)ⁿ` products
 //! overflow `usize` long before a search becomes infeasible to *run*), and
@@ -19,7 +19,6 @@ use crate::interconnect::Interconnect;
 use crate::transform::MappingMatrix;
 use bitlevel_ir::{AlgorithmTriplet, BoxSet};
 use bitlevel_linalg::{IMat, IVec};
-use rayon::prelude::*;
 
 /// Hard cap on enumerable schedule-search spaces. `(2B+1)ⁿ` candidates above
 /// this would take years to walk; `try_find_optimal_schedule` returns
@@ -97,7 +96,7 @@ pub struct OptimalSchedule {
 /// the given fixed space mapping `S` and primitives `ic`.
 ///
 /// Ties are broken toward the lexicographically smallest vector, making the
-/// result deterministic. The outer axis is searched in parallel with rayon.
+/// result deterministic.
 ///
 /// Returns `None` when no feasible schedule exists within the bound.
 ///
@@ -129,7 +128,7 @@ pub fn try_find_optimal_schedule(
     let d = alg.dependence_matrix();
 
     let best = range
-        .par_iter()
+        .iter()
         .map(|&first| {
             let mut local_best: Option<(i64, IVec)> = None;
             let mut feasible = 0usize;
@@ -168,23 +167,20 @@ pub fn try_find_optimal_schedule(
             }
             (local_best, feasible)
         })
-        .reduce(
-            || (None, 0),
-            |(a, fa), (b, fb)| {
-                let merged = match (a, b) {
-                    (None, b) => b,
-                    (a, None) => a,
-                    (Some((ta, pa)), Some((tb, pb))) => {
-                        if tb < ta || (tb == ta && pb < pa) {
-                            Some((tb, pb))
-                        } else {
-                            Some((ta, pa))
-                        }
+        .fold((None, 0), |(a, fa), (b, fb)| {
+            let merged = match (a, b) {
+                (None, b) => b,
+                (a, None) => a,
+                (Some((ta, pa)), Some((tb, pb))) => {
+                    if tb < ta || (tb == ta && pb < pa) {
+                        Some((tb, pb))
+                    } else {
+                        Some((ta, pa))
                     }
-                };
-                (merged, fa + fb)
-            },
-        );
+                }
+            };
+            (merged, fa + fb)
+        });
 
     Ok(best.0.map(|(time, pi)| OptimalSchedule {
         pi,

@@ -1174,7 +1174,7 @@ mod tests {
             .zip(ys.chunks(width))
             .map(|(xc, yc)| MatmulLaneCells::new(u, p, xc, yc))
             .collect();
-        let runs = sched.execute_batch_chunks(&chunks);
+        let runs: Vec<_> = chunks.iter().map(|c| sched.execute_batch(c)).collect();
         assert_eq!(runs.len(), 3); // 4 + 4 + 2 (ragged tail)
         let mut lane_total = 0usize;
         for (chunk, run) in chunks.iter().zip(&runs) {

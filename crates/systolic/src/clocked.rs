@@ -45,14 +45,15 @@ pub trait CellSemantics {
 /// Pure, shareable cell semantics — the compiled backend's counterpart of
 /// [`CellSemantics`].
 ///
-/// The compiled engine ([`crate::compiled`]) executes all points of a cycle
-/// in parallel, so the semantics must be immutable (`&self`) and shareable
-/// across threads (`Sync`), and bundles must be `Send`. Types whose compute
-/// is pure implement this trait and delegate their [`CellSemantics`] impl to
-/// it, so both engines run literally the same arithmetic.
+/// The compiled engine ([`crate::compiled`]) computes each point from its
+/// gathered inputs alone, so the semantics must be immutable (`&self`); it
+/// is `Sync` so that walks on several threads (a server's workers) may share
+/// one value. Types whose compute is pure implement this trait and delegate
+/// their [`CellSemantics`] impl to it, so both engines run literally the
+/// same arithmetic.
 pub trait SyncCellSemantics: Sync {
-    /// The signal bundle carried by tokens (`Send + Sync`: the compiled
-    /// engine shares the token arena across worker threads).
+    /// The signal bundle carried by tokens (`Send + Sync`, so runs and their
+    /// token arenas may cross threads).
     type Bundle: Clone + Send + Sync + std::fmt::Debug;
 
     /// Computes the cell at index point `q` — same contract as

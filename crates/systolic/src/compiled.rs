@@ -17,12 +17,15 @@
 //!   each cycle is a contiguous `&[u32]` slice.
 //! * **Arena token store** — one `Vec<Option<B>>` indexed by slot replaces
 //!   the `HashMap<IVec, B>` outputs/produced-at maps.
-//! * **Cycle-sliced parallelism** — when every exercised dependence column
-//!   has `Π·d̄ > 0` (which mapping feasibility enforces), any two points that
+//! * **Causal cycle slices** — when every exercised dependence column has
+//!   `Π·d̄ > 0` (which mapping feasibility enforces), any two points that
 //!   share a cycle are independent: a producer of either would need
-//!   `Π·d̄ = 0`. Each cycle's slice is therefore executed rayon-parallel.
-//!   Schedules with a non-positive column budget fall back to a sequential
-//!   dense replay of the interpreted semantics.
+//!   `Π·d̄ = 0`. So every producer a slice reads has settled in an earlier
+//!   slice. The differential walk of [`GoldenBatch::faulted`] relies on
+//!   this, and so does the LSGP cost model of [`crate::partition`], which
+//!   prices a slice's points as parallel work. The value walk itself fires
+//!   the slots in fire order, which replays the interpreted semantics
+//!   densely on causal and non-causal schedules alike.
 //! * **Bookkeeping once per schedule** — the accounting that the interpreted
 //!   engine interleaves with its computes (violations, in-flight counts,
 //!   trace events) is one sequential pass in the original fire order after
@@ -39,12 +42,10 @@ use crate::batch::{BatchRun, GoldenBatch, LaneCellSemantics, Slots, Wordwise};
 use crate::clocked::{ClockedRun, ClockedViolation, SyncCellSemantics};
 use crate::fault::{FaultInjector, NoFaults, TransferFault};
 use crate::mapped::MappedRunReport;
-use crate::partition::PartitionedSchedule;
 use crate::trace::{NullSink, TraceEvent, TraceSink};
 use bitlevel_ir::{AlgorithmTriplet, Atom, BoxSet};
 use bitlevel_linalg::IVec;
 use bitlevel_mapping::{Interconnect, MappingMatrix, Routing};
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
@@ -58,19 +59,21 @@ pub enum SimBackend {
     #[default]
     Compiled,
     /// The lane-packed batch engine: up to 64 independent problem instances
-    /// per [`CompiledSchedule::execute_batch`] walk, chunked rayon-parallel
-    /// beyond one word. `width` is the lanes-per-word target (clamped to
+    /// per [`CompiledSchedule::execute_batch`] walk, one walk per word
+    /// beyond that. `width` is the lanes-per-word target (clamped to
     /// `1..=64`); timing-only evaluations are value-independent and behave
     /// exactly like [`SimBackend::Compiled`].
     CompiledBatch {
         /// Lanes packed per machine word (clamped to `1..=64`).
         width: usize,
     },
-    /// The LSGP-partitioned engine of [`crate::partition`]: the virtual PE
-    /// array is clustered into at most `workers` shards, each owned by one
-    /// physical worker, with a barrier per cycle-slice. Bit-identical to
-    /// [`SimBackend::Compiled`]; designs whose schedules are not causal
-    /// fall back to the compiled engine with a recorded reason.
+    /// The compiled engine priced by the LSGP cost model of
+    /// [`crate::partition`]: the virtual PE array is clustered into at most
+    /// `workers` shards, each owned by one physical worker, and reports
+    /// carry the partition's [`crate::PartitionStats`]. Values come from the
+    /// compiled walk, so runs are bit-identical to [`SimBackend::Compiled`];
+    /// designs whose schedules are not causal fall back to the compiled
+    /// engine with a recorded reason.
     Partitioned {
         /// Physical worker (shard) budget; must be at least 1.
         workers: usize,
@@ -196,14 +199,10 @@ impl SimBackend {
 /// Sentinel producer slot for boundary inputs (no in-set producer).
 pub(crate) const NO_SLOT: u32 = u32::MAX;
 
-/// Below this many points per cycle the parallel executor stays sequential —
-/// fork/join overhead would dominate the per-point work.
-const PAR_THRESHOLD: usize = 64;
-
-/// Reusable gather scratch (one per worker): the consumer's reconstructed
+/// Reusable gather scratch (one per walk): the consumer's reconstructed
 /// index point and its per-column input row. Hoisting these out of the
 /// per-slot hot loop removes two heap allocations per fired point.
-pub(crate) struct SlotScratch<B> {
+struct SlotScratch<B> {
     point: IVec,
     inputs: Vec<Option<B>>,
 }
@@ -296,7 +295,8 @@ pub struct CompiledSchedule {
     /// Number of interconnect primitives (columns of `P`).
     pub(crate) n_links: usize,
     /// Every exercised column has `Π·d̄ > 0`: same-cycle points are
-    /// independent and each cycle slice may execute in parallel.
+    /// independent, which the differential walk and the LSGP cost model
+    /// rely on.
     pub(crate) causal: bool,
     /// The faultless untraced bookkeeping, empty until the first walk that
     /// needs it.
@@ -581,7 +581,7 @@ impl CompiledSchedule {
     }
 
     /// True iff every exercised dependence column has `Π·d̄ > 0`, i.e. the
-    /// parallel per-cycle executor is applicable.
+    /// points of one cycle are independent of each other.
     pub fn is_causal(&self) -> bool {
         self.causal
     }
@@ -611,7 +611,7 @@ impl CompiledSchedule {
     /// later in the bookkeeping pass; descriptions returned here are
     /// discarded. With [`NoFaults`] every fault branch compiles away.
     #[inline]
-    pub(crate) fn compute_slot<S: SyncCellSemantics, F: FaultInjector<S::Bundle>>(
+    fn compute_slot<S: SyncCellSemantics, F: FaultInjector<S::Bundle>>(
         &self,
         semantics: &S,
         s: usize,
@@ -670,8 +670,8 @@ impl CompiledSchedule {
     }
 
     /// [`CompiledSchedule::execute`] with a [`TraceSink`]. Events are
-    /// reconstructed by the sequential bookkeeping pass — the rayon value
-    /// slices stay untouched — and the emitted stream is **identical**
+    /// reconstructed by the bookkeeping pass after the value phase, and the
+    /// emitted stream is **identical**
     /// to [`crate::clocked::run_clocked_traced`]'s on the same inputs. With
     /// [`NullSink`] the guards compile away and this *is* `execute`.
     pub fn execute_traced<S: SyncCellSemantics, K: TraceSink>(
@@ -684,11 +684,9 @@ impl CompiledSchedule {
 
     /// [`CompiledSchedule::execute_traced`] with a [`FaultInjector`] — the
     /// compiled counterpart of [`crate::clocked::run_clocked_faulted`],
-    /// bit-identical to it under the same injector. A live injector forces
-    /// the sequential value path (faulted gathers must see arena mutations
-    /// in the interpreted engine's order); [`NoFaults`] compiles every fault
-    /// branch away, keeping the parallel path and making this *is*
-    /// `execute_traced`.
+    /// bit-identical to it under the same injector: faulted gathers see
+    /// arena mutations in the interpreted engine's order. [`NoFaults`]
+    /// compiles every fault branch away, making this *is* `execute_traced`.
     pub fn execute_faulted<S, K, F>(
         &self,
         semantics: &S,
@@ -700,7 +698,7 @@ impl CompiledSchedule {
         K: TraceSink,
         F: FaultInjector<S::Bundle>,
     {
-        self.walk(semantics, sink, faults, None).into_clocked()
+        self.walk(semantics, sink, faults).into_clocked()
     }
 
     /// The index set's dense slot addressing: slot 0 and the last slot hold
@@ -710,18 +708,13 @@ impl CompiledSchedule {
         Slots::new(BoxSet::new(corner(0), corner(self.n_points - 1)))
     }
 
-    /// The value-carrying schedule walk behind every compiled entry point:
-    /// scalar and lane-packed (through [`Wordwise`]), compiled and
-    /// partitioned. A value phase computes every slot cycle by cycle, and
-    /// then [`CompiledSchedule::bookkeeping_pass`] replays the original fire
-    /// order for violations, in-flight peaks and every trace event. A
-    /// faultless untraced walk skips that pass: it reads the result the
-    /// first such walk stored on the schedule.
-    ///
-    /// The one variable part is how a causal slice computes its values:
-    /// rayon over the slice's points, or one task per shard of `shards`
-    /// (which must partition `self`). A live injector or a non-causal
-    /// schedule takes the sequential path instead.
+    /// The value-carrying schedule walk behind every compiled entry point,
+    /// scalar and lane-packed (through [`Wordwise`]). A value phase computes
+    /// every slot in fire order, and then
+    /// [`CompiledSchedule::bookkeeping_pass`] replays that order for
+    /// violations, in-flight peaks and every trace event. A faultless
+    /// untraced walk skips that pass: it reads the result the first such
+    /// walk stored on the schedule.
     ///
     /// The run comes back dense, its outputs in slot order, one lane wide;
     /// [`BatchRun::into_clocked`] keys it by point for the scalar entry
@@ -731,56 +724,24 @@ impl CompiledSchedule {
         semantics: &S,
         sink: &mut K,
         faults: &F,
-        shards: Option<&PartitionedSchedule>,
     ) -> BatchRun<S::Bundle>
     where
         S: SyncCellSemantics,
         K: TraceSink,
         F: FaultInjector<S::Bundle>,
     {
-        debug_assert!(shards.is_none_or(|p| std::ptr::eq(&**p.schedule(), self)));
         let mut arena: Vec<Option<S::Bundle>> = vec![None; self.n_points];
         let mut scratch: SlotScratch<S::Bundle> = SlotScratch::default();
-        let mut computed: Vec<(u32, S::Bundle)> = Vec::new();
 
-        for k in 0..self.cycle_values.len() {
-            let slice = &self.fire_order[self.cycle_offsets[k]..self.cycle_offsets[k + 1]];
-
-            // Value phase. In a causal schedule every producer fired in an
-            // earlier cycle, so the slice's computes only read settled arena
-            // entries and may run in any order. Otherwise — and under a live
-            // injector, whose gathers must observe arena mutations in order —
-            // replay the interpreted engine's sequential order (a same-cycle
-            // producer earlier in slot order is then *visible*, later ones
-            // read as boundary inputs — bit-identical to the HashMap engine).
-            if !F::ENABLED
-                && self.causal
-                && slice.len() >= PAR_THRESHOLD
-                && shards.is_none_or(|part| part.workers() > 1)
-            {
-                match shards {
-                    Some(part) => part.compute_shards(k, semantics, &mut arena),
-                    None => {
-                        slice
-                            .par_iter()
-                            .map_init(SlotScratch::default, |sc, &s| {
-                                let bundle =
-                                    self.compute_slot(semantics, s as usize, &arena, &NoFaults, sc);
-                                (s, bundle)
-                            })
-                            .collect_into_vec(&mut computed);
-                        for (s, bundle) in computed.drain(..) {
-                            arena[s as usize] = Some(bundle);
-                        }
-                    }
-                }
-            } else {
-                for &s in slice {
-                    let bundle =
-                        self.compute_slot(semantics, s as usize, &arena, faults, &mut scratch);
-                    arena[s as usize] = Some(bundle);
-                }
-            }
+        // Value phase, in the interpreted engine's order. In a causal
+        // schedule every producer fired in an earlier cycle; otherwise a
+        // same-cycle producer earlier in slot order is *visible* and later
+        // ones read as boundary inputs — bit-identical to the HashMap
+        // engine. A live injector's gathers observe arena mutations in
+        // the same order.
+        for &s in &self.fire_order {
+            let bundle = self.compute_slot(semantics, s as usize, &arena, faults, &mut scratch);
+            arena[s as usize] = Some(bundle);
         }
 
         // With no sink to feed and no injector to consult, the pass depends
@@ -805,24 +766,6 @@ impl CompiledSchedule {
             .map(|bundle| bundle.expect("every slot fires exactly once"))
             .collect();
         BatchRun::new(cycles, outputs, violations, peak_in_flight, self.slots())
-    }
-
-    /// [`CompiledSchedule::walk`] over lane-packed tokens: the scalar walk
-    /// on [`Wordwise`] words, whose schedule-wide results hold for every
-    /// lane, wrapped as a [`BatchRun`].
-    pub(crate) fn walk_batch<L, K>(
-        &self,
-        lanes: &L,
-        sink: &mut K,
-        shards: Option<&PartitionedSchedule>,
-    ) -> BatchRun<L::Packed>
-    where
-        L: LaneCellSemantics,
-        K: TraceSink,
-    {
-        let mut run = self.walk(&Wordwise(lanes), sink, &NoFaults, shards);
-        run.lanes = lanes.lanes();
-        run
     }
 
     /// Emits the per-column route / unroutable prologue events of the
@@ -1051,23 +994,11 @@ impl CompiledSchedule {
         L: LaneCellSemantics,
         K: TraceSink,
     {
-        self.walk_batch(lanes, sink, None)
-    }
-
-    /// Runs several lane-packed chunks — e.g. a batch of more than 64
-    /// instances split into ≤ 64-lane words — rayon-parallel across chunks.
-    /// Each chunk's walk is itself internally parallel-safe (the per-cycle
-    /// value slices), so this composes batch-level and cycle-slice
-    /// parallelism.
-    pub fn execute_batch_chunks<L: LaneCellSemantics>(
-        &self,
-        chunks: &[L],
-    ) -> Vec<BatchRun<L::Packed>> {
-        if chunks.len() > 1 {
-            chunks.par_iter().map(|c| self.execute_batch(c)).collect()
-        } else {
-            chunks.iter().map(|c| self.execute_batch(c)).collect()
-        }
+        // The scalar walk on `Wordwise` words, whose schedule-wide results
+        // hold for every lane.
+        let mut run = self.walk(&Wordwise(lanes), sink, &NoFaults);
+        run.lanes = lanes.lanes();
+        run
     }
 
     /// The clean lane-packed run of `cells`, kept so that faulted runs of
@@ -1407,7 +1338,7 @@ mod tests {
     #[test]
     fn route_violations_match_interpreted_engine() {
         // Fig. 4's fast schedule on the wire-poor machine: budgets stay
-        // positive (causal parallel path) but routes miss their budgets.
+        // positive (the schedule is causal) but routes miss their budgets.
         let (u, p) = (2usize, 2usize);
         let alg = matmul_structure(u as i64, p as i64);
         let t = PaperDesign::TimeOptimal.mapping(p as i64);
@@ -1443,9 +1374,9 @@ mod tests {
     #[test]
     fn non_causal_schedule_falls_back_bit_identically() {
         // Zero out the intra-tile schedule components: d̄₄…d̄₇ get budget ≤ 0,
-        // the parallel path is ineligible, and the sequential dense replay
-        // must still match the interpreted engine exactly (including
-        // CausalityOrder violations and same-cycle-producer visibility).
+        // the schedule is not causal, and the dense replay must still match
+        // the interpreted engine exactly (including CausalityOrder
+        // violations and same-cycle-producer visibility).
         let (u, p) = (2usize, 2usize);
         let alg = matmul_structure(u as i64, p as i64);
         let t = MappingMatrix::new(
@@ -1976,21 +1907,6 @@ mod tests {
             let (alg, t, ic) = seeded_case(seed);
             assert_compiles_like_reference(&alg, &t, &ic, &format!("seed {seed}"));
         }
-    }
-
-    #[test]
-    fn fig4_at_4_4_reaches_the_parallel_value_phase() {
-        // tests/walk_identity.rs pins the rayon and per-shard value phases
-        // on this case; that only holds while a slice is this wide.
-        let design = PaperDesign::TimeOptimal;
-        let sched = CompiledSchedule::compile(
-            &matmul_structure(4, 4),
-            &design.mapping(4),
-            &design.interconnect(4),
-        );
-        assert!(sched.is_causal());
-        let widest = sched.cycle_offsets.windows(2).map(|w| w[1] - w[0]).max();
-        assert!(widest >= Some(PAR_THRESHOLD), "widest slice {widest:?}");
     }
 
     /// A live injector that drops every transfer along column 0.

@@ -15,9 +15,9 @@
 //! * [`word_array`] — the Section 4.2 word-level comparator
 //!   (`(3(u−1)+1)·t_b` with a pluggable bit-level multiplier model);
 //! * [`compiled`] — the compile-once/run-many backend: dense point slots via
-//!   `BoxSet::rank`, a CSR fire list, an arena token store, and
-//!   cycle-sliced parallel execution, bit-identical to the interpreted
-//!   engines and selected through [`SimBackend`];
+//!   `BoxSet::rank`, a CSR fire list and an arena token store, walked in
+//!   fire order bit-identically to the interpreted engines and selected
+//!   through [`SimBackend`];
 //! * [`batch`] — the lane-packed batch layer over the compiled backend:
 //!   up to 64 independent problem instances in the bit-lanes of a `u64`,
 //!   one schedule walk per batch, with bitwise word forms of both the

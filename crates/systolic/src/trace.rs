@@ -19,7 +19,7 @@
 //!
 //! The two clocked engines emit **identical event streams** for identical
 //! `(alg, T, P)` inputs — the compiled backend reconstructs events during its
-//! sequential bookkeeping replay, leaving the rayon value slices untouched —
+//! bookkeeping replay, after the value phase has settled every token —
 //! which `tests/engine_agreement.rs` pins down.
 
 use bitlevel_json::Json;

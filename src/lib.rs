@@ -44,17 +44,16 @@ pub use bitlevel_systolic as systolic;
 pub use bitlevel_core::{
     batched_single_fault_campaign, check_feasibility, compare_analyses, compose, expand, explore,
     find_optimal_schedule, generate_space_family, monte_carlo_campaign,
-    monte_carlo_campaign_with_cache, partitioned_single_fault_campaign, render_architecture,
-    render_frontier, render_matmul_comparison, render_structure, render_trace_summary,
-    run_clocked_compiled, schedule_key, simulate_mapped, simulate_mapped_compiled,
-    single_fault_campaign, single_fault_campaign_with_cache, AddShift, AlgorithmTriplet,
-    ArchitectureReport, BackendConfigError, BackendUsed, BatchRunReport,
-    BatchedFaultCampaignReport, BatchedFaultCase, BitMatmulArray, BoxSet, CacheActivity, CacheKey,
-    CacheOutcome, CacheStats, CarrySave, CompileCache, CompiledSchedule, DesignFlow, Expansion,
-    ExplorationReport, ExploreConfig, FaultCampaignReport, FaultKind, FaultOutcome, FaultPlan,
-    Interconnect, MachineOption, MappingError, MappingMatrix, MonteCarloReport,
-    MultiplierAlgorithm, NullSink, PaperDesign, PartitionError, PartitionStats,
-    PartitionedCampaignReport, PartitionedSchedule, PersistError, RandomFault, RecordingSink,
+    monte_carlo_campaign_with_cache, render_architecture, render_frontier,
+    render_matmul_comparison, render_structure, render_trace_summary, run_clocked_compiled,
+    schedule_key, simulate_mapped, simulate_mapped_compiled, single_fault_campaign,
+    single_fault_campaign_with_cache, AddShift, AlgorithmTriplet, ArchitectureReport,
+    BackendConfigError, BackendUsed, BatchRunReport, BatchedFaultCampaignReport, BatchedFaultCase,
+    BitMatmulArray, BoxSet, CacheActivity, CacheKey, CacheOutcome, CacheStats, CarrySave,
+    CompileCache, CompiledSchedule, DesignFlow, Expansion, ExplorationReport, ExploreConfig,
+    FaultCampaignReport, FaultKind, FaultOutcome, FaultPlan, Interconnect, MachineOption,
+    MappingError, MappingMatrix, MonteCarloReport, MultiplierAlgorithm, NullSink, PaperDesign,
+    PartitionError, PartitionStats, PartitionedSchedule, PersistError, RandomFault, RecordingSink,
     RippleAdder, SimBackend, TargetedFault, TraceConfig, TraceEvent, TraceRollup, TraceSink,
     VerifiedFrontierPoint, WordLevelAlgorithm, WordLevelArray, SCHEDULE_FORMAT_VERSION,
 };

@@ -1,11 +1,11 @@
 //! Pins the schedule-walk contract of the compiled engines.
 //!
-//! * The scalar, lane-packed and partitioned value walks of one compiled
-//!   schedule emit the same ordered trace stream and the same run, at every
-//!   pool size.
-//! * The faulted value walks of the compiled and partitioned engines match
-//!   the interpreted faulted engine, under seeded plans that mix dead PEs,
-//!   transient flips, dropped and duplicated transfers.
+//! * The scalar and lane-packed value walks of one compiled schedule emit
+//!   the same ordered trace stream and the same run, and so does a
+//!   partitioned flow's batch walk at every pool size.
+//! * The faulted value walks of the compiled engine match the interpreted
+//!   faulted engine, under seeded plans that mix dead PEs, transient flips,
+//!   dropped and duplicated transfers.
 //! * The compiled faulted mapped report matches the interpreted timing
 //!   simulator under the same plans.
 //! * Untraced faultless walks, which reuse the bookkeeping the first such
@@ -23,21 +23,27 @@ use bitlevel::systolic::{
     MatmulExpansionIICells, MatmulLaneCells, MatmulSignals, NoFaults,
 };
 use bitlevel::{
-    AlgorithmTriplet, CompiledSchedule, FaultKind, FaultPlan, Interconnect, MappingMatrix,
-    PaperDesign, PartitionedSchedule, RandomFault, RecordingSink, TargetedFault, TraceEvent,
+    AlgorithmTriplet, BackendUsed, CompiledSchedule, DesignFlow, FaultKind, FaultPlan,
+    Interconnect, MappingMatrix, PaperDesign, RandomFault, RecordingSink, SimBackend,
+    TargetedFault, TraceEvent,
 };
 use std::sync::{Arc, Barrier};
 
 const SHAPES: [(usize, usize); 3] = [(2, 2), (3, 2), (2, 3)];
 
-/// Pool sizes every partitioned walk runs at.
+/// Pool sizes every partitioned flow runs at.
 const WORKERS: [usize; 3] = [1, 2, 3];
 
 /// Lanes of every lane-packed walk (not a power of two on purpose).
 const LANES: usize = 5;
 
+/// One `u×u` operand matrix.
+type Matrix = Vec<Vec<u128>>;
+
 struct Case {
     name: String,
+    /// The paper design, when the mapping runs on its own machine.
+    design: Option<PaperDesign>,
     u: usize,
     p: usize,
     alg: AlgorithmTriplet,
@@ -49,6 +55,7 @@ impl Case {
     fn new(u: usize, p: usize, mapping: PaperDesign, machine: PaperDesign) -> Case {
         Case {
             name: format!("{mapping:?} on {machine:?} at (u, p) = ({u}, {p})"),
+            design: (mapping == machine).then_some(mapping),
             u,
             p,
             alg: matmul_structure(u, p),
@@ -67,10 +74,15 @@ impl Case {
     }
 
     /// `LANES` operand pairs; lane 0 carries `self.cells(seed)`'s operands.
-    fn lanes(&self, seed: u64) -> MatmulLaneCells {
-        let (xs, ys): (Vec<_>, Vec<_>) = (0..LANES as u64)
+    fn operands(&self, seed: u64) -> (Vec<Matrix>, Vec<Matrix>) {
+        (0..LANES as u64)
             .map(|l| operand_matrices(self.u, self.p, seed + l))
-            .unzip();
+            .unzip()
+    }
+
+    /// The lane-packed cells of `self.operands(seed)`.
+    fn lanes(&self, seed: u64) -> MatmulLaneCells {
+        let (xs, ys) = self.operands(seed);
         MatmulLaneCells::new(self.u, self.p, &xs, &ys)
     }
 }
@@ -167,42 +179,30 @@ fn check_streams(case: &Case) {
     assert_eq!(lane0.outputs, scalar.outputs, "{name}: lane 0");
     assert_eq!(lane0.violations, scalar.violations, "{name}: lane 0");
 
+    // A partitioned flow walks the compiled schedule; its stream opens
+    // with the flow's cache query.
+    let Some(design) = case.design else { return };
+    let (xs, ys) = case.operands(11);
     for workers in WORKERS {
-        let part = PartitionedSchedule::try_new(Arc::clone(&sched), workers).expect("causal");
-
+        let flow = DesignFlow::matmul(case.u as i64, case.p)
+            .with_backend(SimBackend::Partitioned { workers });
         let mut sink = RecordingSink::new();
-        let run = part.execute_traced(&cells, &mut sink);
-        assert_eq!(sink.events(), &reference[..], "{name}: k={workers} stream");
-        assert_eq!(run.outputs, scalar.outputs, "{name}: k={workers}");
-        assert_eq!(run.violations, scalar.violations, "{name}: k={workers}");
-        assert_eq!(run.cycles, scalar.cycles, "{name}: k={workers}");
+        let rep = flow.evaluate_batch_traced(design, &xs, &ys, &mut sink);
+        let what = format!("{name}: k={workers} flow");
         assert_eq!(
-            run.peak_in_flight, scalar.peak_in_flight,
-            "{name}: k={workers}"
+            rep.backend_used,
+            BackendUsed::Partitioned { workers },
+            "{what}"
         );
-
-        let mut sink = RecordingSink::new();
-        let run = part.execute_batch_traced(&lanes, &mut sink);
-        assert_eq!(
-            sink.events(),
-            &reference[..],
-            "{name}: k={workers} batch stream"
+        assert!(
+            matches!(sink.events().first(), Some(TraceEvent::CacheQuery { .. })),
+            "{what}"
         );
-        assert_eq!(run.outputs, batch.outputs, "{name}: k={workers} batch");
-        assert_eq!(
-            run.violations, batch.violations,
-            "{name}: k={workers} batch"
-        );
-        assert_eq!(run.cycles, batch.cycles, "{name}: k={workers} batch");
-        assert_eq!(
-            run.peak_in_flight, batch.peak_in_flight,
-            "{name}: k={workers} batch"
-        );
-        assert_eq!(
-            run.extract_lane_run(&lanes, 0).outputs,
-            scalar.outputs,
-            "{name}: k={workers} lane 0"
-        );
+        assert_eq!(&sink.events()[1..], &reference[..], "{what} stream");
+        assert_eq!(rep.walks, 1, "{what}");
+        assert_eq!(rep.cycles, batch.cycles, "{what}");
+        assert_eq!(rep.legal, batch.is_legal(), "{what}");
+        assert_eq!(rep.products, lanes.extract_products(&batch), "{what}");
     }
 }
 
@@ -223,11 +223,8 @@ fn scalar_batch_and_partitioned_walks_emit_one_stream() {
 }
 
 #[test]
-fn wide_slices_take_the_parallel_value_phase_with_the_same_stream() {
-    // Fig. 4 at (4, 4) fires wavefronts wider than the engine's parallel
-    // threshold, so the rayon and per-shard value phases both run; the
-    // in-crate test `fig4_at_4_4_reaches_the_parallel_value_phase` checks
-    // that against the engine's own threshold.
+fn fig4_at_4_4_walks_emit_one_stream() {
+    // The largest case, with the widest cycle slices.
     let case = Case::new(4, 4, PaperDesign::TimeOptimal, PaperDesign::TimeOptimal);
     check_streams(&case);
 }
@@ -252,7 +249,6 @@ fn faulted_value_walks_match_the_interpreted_faulted_engine() {
 
             let mut sink = RecordingSink::new();
             let run = sched.execute_faulted(&cells, &mut sink, &resolved);
-            let compiled_events = sink.events().to_vec();
             assert_eq!(run.outputs, oracle.outputs, "{name}: compiled");
             assert_eq!(run.violations, oracle.violations, "{name}: compiled");
             assert_eq!(
@@ -260,21 +256,6 @@ fn faulted_value_walks_match_the_interpreted_faulted_engine() {
                 "{name}: compiled"
             );
             assert_eq!(sink.rollup().faults, oracle_faults, "{name}: compiled");
-
-            for workers in WORKERS {
-                let part =
-                    PartitionedSchedule::try_new(Arc::clone(&sched), workers).expect("causal");
-                let mut sink = RecordingSink::new();
-                let run = part.execute_faulted(&cells, &mut sink, &resolved);
-                assert_eq!(run.outputs, oracle.outputs, "{name}: k={workers}");
-                assert_eq!(run.violations, oracle.violations, "{name}: k={workers}");
-                assert_eq!(
-                    run.peak_in_flight, oracle.peak_in_flight,
-                    "{name}: k={workers}"
-                );
-                assert_eq!(sink.rollup().faults, oracle_faults, "{name}: k={workers}");
-                assert_eq!(sink.events(), &compiled_events[..], "{name}: k={workers}");
-            }
         }
     }
     assert!(faults >= 500, "plans injected only {faults} faults");
@@ -298,7 +279,6 @@ fn faulted_mapped_reports_match_the_interpreted_simulator() {
     let mut kinds = [0usize; 4];
     for case in cases() {
         let sched = case.schedule();
-        let part = PartitionedSchedule::try_new(Arc::clone(&sched), 2).expect("causal");
 
         let mut sink = RecordingSink::new();
         let oracle = simulate_mapped_traced(&case.alg, &case.t, &case.ic, &mut sink);
@@ -341,11 +321,6 @@ fn faulted_mapped_reports_match_the_interpreted_simulator() {
             assert_eq!(rollup.violations, oracle_rollup.violations, "{name}");
             assert_eq!(rollup.faults, oracle_rollup.faults, "{name}");
             assert_eq!(sorted_events(sink.events()), oracle_events, "{name}");
-
-            let mut sink = RecordingSink::new();
-            let report = part.mapped_report_faulted(&mut sink, &resolved);
-            assert!(report.bit_identical(&oracle), "{name}: partitioned");
-            assert_eq!(sink.rollup().faults, oracle_rollup.faults, "{name}");
         }
     }
     assert!(faults >= 500, "plans injected only {faults} faults");
@@ -382,32 +357,26 @@ fn untraced_walks_reuse_the_schedule_bookkeeping() {
             .execute_batch_traced(&lanes, &mut RecordingSink::new())
             .lane_runs(&lanes);
 
-        // One untraced entry point, its runs given per lane: the compiled or
-        // partitioned engine, scalar or lane-packed.
-        let untraced = |sched: &Arc<CompiledSchedule>, workers: Option<usize>, batch: bool| {
-            let part = |k| PartitionedSchedule::try_new(Arc::clone(sched), k).expect("causal");
-            match (workers, batch) {
-                (None, false) => vec![sched.execute(&cells)],
-                (None, true) => sched.execute_batch(&lanes).lane_runs(&lanes),
-                (Some(k), false) => vec![part(k).execute(&cells)],
-                (Some(k), true) => part(k).execute_batch(&lanes).lane_runs(&lanes),
+        // One untraced entry point, its runs given per lane: scalar or
+        // lane-packed.
+        let untraced = |sched: &Arc<CompiledSchedule>, batch: bool| {
+            if batch {
+                sched.execute_batch(&lanes).lane_runs(&lanes)
+            } else {
+                vec![sched.execute(&cells)]
             }
         };
-        let pools = std::iter::once(None).chain(WORKERS.map(Some));
-        for (workers, batch) in pools.flat_map(|w| [(w, false), (w, true)]) {
+        for batch in [false, true] {
             let (traced, oracle) = if batch {
                 (&traced_lanes, &lane_oracles)
             } else {
                 (&traced, &oracle)
             };
             let check = |sched: &Arc<CompiledSchedule>, what: &str| {
-                let runs = untraced(sched, workers, batch);
+                let runs = untraced(sched, batch);
                 assert_eq!(runs.len(), traced.len());
                 for (l, run) in runs.iter().enumerate() {
-                    let what = format!(
-                        "{}: workers {workers:?}, batch {batch}, {what}, lane {l}",
-                        case.name
-                    );
+                    let what = format!("{}: batch {batch}, {what}, lane {l}", case.name);
                     assert_same_run(run, &traced[l], &format!("{what} vs traced"));
                     assert_same_run(run, &oracle[l], &format!("{what} vs interpreted"));
                 }
