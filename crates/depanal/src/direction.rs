@@ -236,7 +236,6 @@ mod tests {
     use crate::exact::enumerate_dependences;
     use bitlevel_ir::{Access, LoopNest, OpKind, Statement, WordLevelAlgorithm};
     use bitlevel_linalg::IMat;
-    use proptest::prelude::*;
 
     #[test]
     fn matmul_pipelines_have_single_directions() {
@@ -296,37 +295,48 @@ mod tests {
         assert!(dirs.contains(&vec![Dir::Eq, Dir::Eq, Dir::Lt]));
     }
 
-    proptest! {
-        /// The closed-form directed term range equals exhaustive enumeration
-        /// for every direction and random coefficients/bounds.
-        #[test]
-        fn prop_closed_form_equals_enumeration(
-            a in -5i64..6, b in -5i64..6, l in -4i64..5, ext in 0i64..6,
-        ) {
-            let u = l + ext;
-            for dir in [Dir::Any, Dir::Eq, Dir::Lt, Dir::Gt] {
-                prop_assert_eq!(
-                    directed_term_range(a, b, l, u, dir),
-                    directed_term_range_enumerated(a, b, l, u, dir),
-                    "a={} b={} l={} u={} {:?}", a, b, l, u, dir
-                );
+    /// The closed-form directed term range equals exhaustive enumeration
+    /// for every direction, on every coefficient pair in `-5..=5`, lower
+    /// bound in `-4..=4` and extent in `0..=5`.
+    #[test]
+    fn closed_form_equals_enumeration_on_every_small_term() {
+        for a in -5i64..=5 {
+            for b in -5i64..=5 {
+                for l in -4i64..=4 {
+                    for u in l..=l + 5 {
+                        for dir in [Dir::Any, Dir::Eq, Dir::Lt, Dir::Gt] {
+                            assert_eq!(
+                                directed_term_range(a, b, l, u, dir),
+                                directed_term_range_enumerated(a, b, l, u, dir),
+                                "a={a} b={b} l={l} u={u} {dir:?}"
+                            );
+                        }
+                    }
+                }
             }
         }
+    }
 
-        /// Soundness: every direction realised by exact instances must
-        /// survive the directed Banerjee test.
-        #[test]
-        fn prop_directed_test_is_sound(
-            rm in proptest::collection::vec(-2i64..3, 4),
-            rb in proptest::collection::vec(-3i64..4, 2),
-        ) {
-            let bounds = BoxSet::cube(2, 1, 4);
-            let write = AffineFn::identity(2);
+    /// Soundness: on every read access `t(M·j̄ + b̄)` with the entries of
+    /// `M` in `-2..=2` and those of `b̄` in `-3..=3` (5⁴·7² of them), every
+    /// direction realised by exact instances survives the directed
+    /// Banerjee test.
+    #[test]
+    fn directed_test_is_sound_on_every_small_read_access() {
+        let bounds = BoxSet::cube(2, 1, 4);
+        let write = AffineFn::identity(2);
+        for k in 0..5i64.pow(4) * 7i64.pow(2) {
+            let rm = (0..4).map(|i| k / 5i64.pow(i) % 5 - 2).collect();
+            let rb = (0..2).map(|i| k / 625 / 7i64.pow(i) % 7 - 3).collect();
             let read = AffineFn::new(IMat::from_flat(2, 2, rm), IVec(rb));
             let nest = LoopNest::new(
                 bounds.clone(),
                 vec![
-                    Statement::new(Access::new("t", write.clone()), vec![], OpKind::Other("w".into())),
+                    Statement::new(
+                        Access::new("t", write.clone()),
+                        vec![],
+                        OpKind::Other("w".into()),
+                    ),
                     Statement::new(
                         Access::new("u", AffineFn::identity(2)),
                         vec![Access::new("t", read.clone())],
@@ -336,10 +346,10 @@ mod tests {
             );
             let exact = enumerate_dependences(&nest);
             for dir in realized_directions(&exact) {
-                prop_assert_eq!(
+                assert_eq!(
                     banerjee_directed(&write, &read, &bounds, &dir),
                     DirectedVerdict::MayDepend,
-                    "realized direction {:?} wrongly ruled out", dir
+                    "realized direction {dir:?} of read {read:?} wrongly ruled out"
                 );
             }
         }

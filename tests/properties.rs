@@ -11,36 +11,31 @@ use bitlevel::{
     compose, explore, find_optimal_schedule, simulate_mapped, AlgorithmTriplet, BoxSet, Expansion,
     ExploreConfig, Interconnect, MachineOption, MappingMatrix, WordLevelAlgorithm,
 };
-use proptest::prelude::*;
+use common::{for_each_seed, pick};
 
-/// Random small word-level algorithms of model (3.5): random box bounds and
-/// random small h̄-vectors (h̄₃ nonzero so the recurrence is well-formed).
-fn arb_word_algorithm() -> impl Strategy<Value = WordLevelAlgorithm> {
-    (
-        1usize..3,                              // dimension n
-        proptest::collection::vec(1i64..3, 2),  // extents
-        proptest::collection::vec(-1i64..2, 6), // h components
+mod common;
+
+/// A random small word-level algorithm of model (3.5): a box of 1–2
+/// dimensions with extents 1–2, and h̄ components in `-1..=1`, redrawing
+/// h̄₃ until it is nonzero so the recurrence is well-formed.
+fn random_word_algorithm(state: &mut u64) -> WordLevelAlgorithm {
+    let n = pick(state, 1, 2);
+    let upper = (0..n).map(|_| 1 + pick(state, 1, 2) as i64).collect();
+    let mut h = || IVec((0..n).map(|_| pick(state, 0, 2) as i64 - 1).collect());
+    let (h1, h2) = (h(), h());
+    let h3 = loop {
+        let h3 = h();
+        if !h3.is_zero() {
+            break h3;
+        }
+    };
+    WordLevelAlgorithm::new(
+        "random",
+        BoxSet::new(IVec(vec![1; n]), IVec(upper)),
+        (!h1.is_zero()).then_some(h1),
+        (!h2.is_zero()).then_some(h2),
+        h3,
     )
-        .prop_filter_map(
-            "h3 must be nonzero and h's within extents",
-            |(n, ext, h)| {
-                let upper: Vec<i64> = (0..n).map(|i| 1 + ext[i % ext.len()]).collect();
-                let bounds = BoxSet::new(IVec(vec![1; n]), IVec(upper));
-                let h1 = IVec(h[0..n].to_vec());
-                let h2 = IVec(h[n..2 * n].to_vec());
-                let h3 = IVec(h[2 * n..3 * n].to_vec());
-                if h3.is_zero() {
-                    return None;
-                }
-                Some(WordLevelAlgorithm::new(
-                    "random",
-                    bounds,
-                    (!h1.is_zero()).then_some(h1),
-                    (!h2.is_zero()).then_some(h2),
-                    h3,
-                ))
-            },
-        )
 }
 
 /// The shape of the paper's fixed `S` of eq. (4.2) generalised to `m`
@@ -110,56 +105,60 @@ fn assert_searches_agree(alg: &AlgorithmTriplet, p: i64, bound: i64) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Theorem 3.1 composition equals ground truth for *random* model-(3.5)
-    /// instances, not just the named constructors — both expansions.
-    #[test]
-    fn prop_composition_matches_ground_truth(word in arb_word_algorithm(), p in 2usize..4) {
+/// Theorem 3.1 composition equals ground truth for *random* model-(3.5)
+/// instances, not just the named constructors — both expansions.
+#[test]
+fn composition_matches_ground_truth_on_seeded_draws() {
+    for_each_seed(0x31_0000, 256, |seed| {
+        let mut state = seed;
+        let word = random_word_algorithm(&mut state);
+        let p = pick(&mut state, 2, 3);
         for expansion in [Expansion::I, Expansion::II] {
             let composed = compose(&word, p, expansion);
             let truth = enumerate_dependences(&expand(&word, p, expansion));
-            prop_assert_eq!(
+            assert_eq!(
                 instances_of_triplet(&composed),
                 truth,
-                "expansion {} on {:?}", expansion, word
+                "seed {seed:#x}: expansion {expansion} at p={p} on {word:?}"
             );
         }
-    }
+    });
+}
 
-    /// The two conflict checkers agree on random mappings of random
-    /// bit-level structures (kernel-lattice vs brute force).
-    #[test]
-    fn prop_conflict_checkers_agree(
-        word in arb_word_algorithm(),
-        entries in proptest::collection::vec(-2i64..3, 18),
-    ) {
+/// The two conflict checkers agree on random mappings of random bit-level
+/// structures (kernel-lattice vs brute force).
+#[test]
+fn conflict_checkers_agree_on_seeded_draws() {
+    for_each_seed(0x31_1000, 256, |seed| {
+        let mut state = seed;
+        let word = random_word_algorithm(&mut state);
         let alg = compose(&word, 2, Expansion::II);
         let n = alg.dim();
-        prop_assume!(3 * n <= entries.len());
-        let s = bitlevel::linalg::IMat::from_flat(2, n, entries[0..2 * n].to_vec());
-        let pi = IVec(entries[2 * n..3 * n].to_vec());
+        let mut entry = || pick(&mut state, 0, 4) as i64 - 2;
+        let s = bitlevel::linalg::IMat::from_flat(2, n, (0..2 * n).map(|_| entry()).collect());
+        let pi = IVec((0..n).map(|_| entry()).collect());
         let t = MappingMatrix::new(s, pi);
-        prop_assert_eq!(
+        assert_eq!(
             check_conflicts(&t, &alg.index_set).is_free(),
-            check_conflicts_bruteforce(&t, &alg.index_set).is_free()
+            check_conflicts_bruteforce(&t, &alg.index_set).is_free(),
+            "seed {seed:#x}: {t:?} on {word:?}"
         );
-    }
+    });
+}
 
-    /// For any schedule that simulates conflict-free and causally, the
-    /// simulated makespan equals the closed-form total_time (4.5).
-    #[test]
-    fn prop_simulated_makespan_equals_total_time(
-        word in arb_word_algorithm(),
-        pi_seed in proptest::collection::vec(1i64..3, 6),
-    ) {
+/// For any schedule that simulates conflict-free and causally, the
+/// simulated makespan equals the closed-form total_time (4.5).
+#[test]
+fn simulated_makespan_equals_total_time_on_seeded_draws() {
+    for_each_seed(0x31_2000, 256, |seed| {
+        let mut state = seed;
+        let word = random_word_algorithm(&mut state);
         let alg = compose(&word, 2, Expansion::II);
         let n = alg.dim();
         // All-positive schedules with π_{i2-axis} scaled so Π·d̄₆ > 0.
-        let mut pi = IVec(pi_seed[0..n].to_vec());
+        let mut pi = IVec((0..n).map(|_| pick(&mut state, 1, 2) as i64).collect());
         pi[n - 2] += pi[n - 1]; // ensure π(i1) > π(i2) so d̄₆ = [.. 1, -1] is positive
-        // Identity-ish space map: first two axes.
+                                // Identity-ish space map: first two axes.
         let mut s = bitlevel::linalg::IMat::zeros(2, n);
         s[(0, 0)] = 1;
         s[(1, n - 1)] = 1;
@@ -170,46 +169,62 @@ proptest! {
             &[0, 0, 1, -1, 1, -1, -1, 1, 0],
         ]));
         let run = simulate_mapped(&alg, &t, &ic);
-        prop_assert_eq!(run.cycles, total_time(&pi, &alg.index_set));
-    }
+        assert_eq!(
+            run.cycles,
+            total_time(&pi, &alg.index_set),
+            "seed {seed:#x}: Π={pi:?} on {word:?}"
+        );
+    });
+}
 
-    /// The three searches of `bitlevel-mapping` — exhaustive, best-first,
-    /// and the Pareto explorer restricted to the fixed paper-shape `S` —
-    /// agree on optimum time and tie-broken Π over random small structures.
-    #[test]
-    fn prop_schedule_searches_and_explorer_agree(
-        word in arb_word_algorithm(),
-        p in 2usize..4,
-    ) {
+/// The three searches of `bitlevel-mapping` — exhaustive, best-first, and
+/// the Pareto explorer restricted to the fixed paper-shape `S` — agree on
+/// optimum time and tie-broken Π over random small structures.
+#[test]
+fn schedule_searches_and_explorer_agree_on_seeded_draws() {
+    for_each_seed(0x31_3000, 256, |seed| {
+        let mut state = seed;
+        let word = random_word_algorithm(&mut state);
+        let p = pick(&mut state, 2, 3);
         let alg = compose(&word, p, Expansion::II);
         assert_searches_agree(&alg, p as i64, 2);
-    }
+    });
+}
 
-    /// The critical path never exceeds a *legal* schedule's makespan (a
-    /// schedule with Π·d̄ > 0 for every dependence column executes at most
-    /// one chain node per cycle).
-    #[test]
-    fn prop_critical_path_lower_bounds_schedules(word in arb_word_algorithm()) {
+/// The critical path never exceeds a *legal* schedule's makespan (a
+/// schedule with Π·d̄ > 0 for every dependence column executes at most one
+/// chain node per cycle).
+#[test]
+fn critical_path_lower_bounds_schedules_on_seeded_draws() {
+    let mut legal = 0;
+    for_each_seed(0x31_4000, 256, |seed| {
+        let mut state = seed;
+        let word = random_word_algorithm(&mut state);
         let alg = compose(&word, 2, Expansion::II);
         let cp = critical_path(&alg);
         let n = alg.dim();
         let mut pi = IVec(vec![1; n]);
         pi[n - 2] = 2; // Π·d̄₆ > 0
-        // The canonical schedule is legal only when every column is ordered
-        // positively (random h̄'s can break that); skip illegal schedules.
+                       // The canonical schedule is legal only when every column is ordered
+                       // positively (random h̄'s can break that); skip illegal schedules.
         let d = alg.dependence_matrix();
-        prop_assume!((0..d.cols()).all(|c| d.col(c).dot(&pi) > 0));
+        if (0..d.cols()).any(|c| d.col(c).dot(&pi) <= 0) {
+            return;
+        }
+        legal += 1;
         let time = total_time(&pi, &alg.index_set);
-        prop_assert!(cp as i64 <= time, "cp {} > time {}", cp, time);
-    }
+        assert!(
+            cp as i64 <= time,
+            "seed {seed:#x}: cp {cp} > time {time} on {word:?}"
+        );
+    });
+    assert!(legal > 0, "no draw had a legal canonical schedule");
 }
 
-// Named promotions of the saved proptest shrinks (see
-// `properties.proptest-regressions`): the seeds keep re-running through
-// proptest, but these deterministic copies survive a deleted seed file and
-// name *what* the shrink exposed.
+// Named promotions of two failing cases that an earlier randomized run
+// shrank: each names *what* its case exposed.
 
-/// Regression (seed `fe0875e2…`): the 1-D pure recurrence — no input
+/// Regression: the 1-D pure recurrence — no input
 /// variables at all (h̄₁ = h̄₂ = ∅), h̄₃ = [1] — at word length p = 2.
 /// Composition must match enumerated ground truth even when only the
 /// recurrence columns exist.
@@ -235,9 +250,10 @@ fn regression_composition_on_pure_recurrence_word() {
     }
 }
 
-/// Deterministic instance of `prop_schedule_searches_and_explorer_agree` on
-/// the paper's own 5-D matmul structure, where `paper_style_space` is
-/// literally the `S` of eq. (4.2) — the slice Theorem 4.5 certifies.
+/// Deterministic instance of
+/// `schedule_searches_and_explorer_agree_on_seeded_draws` on the paper's own
+/// 5-D matmul structure, where `paper_style_space` is literally the `S` of
+/// eq. (4.2) — the slice Theorem 4.5 certifies.
 #[test]
 fn searches_and_explorer_agree_on_the_paper_structure() {
     let alg = compose(&WordLevelAlgorithm::matmul(2), 2, Expansion::II);
@@ -259,7 +275,7 @@ fn searches_and_explorer_agree_on_a_pure_recurrence() {
     assert_searches_agree(&alg, 3, 2);
 }
 
-/// Regression (seed `32e3f2a3…`): h̄₁ = [1] combined with the *negative*
+/// Regression: h̄₁ = [1] combined with the *negative*
 /// recurrence direction h̄₃ = [-1]. The critical path must lower-bound the
 /// canonical schedule's makespan whenever that schedule is legal.
 #[test]
@@ -278,7 +294,7 @@ fn regression_critical_path_bound_on_negative_recurrence_word() {
     pi[n - 2] = 2;
     let d = alg.dependence_matrix();
     if (0..d.cols()).any(|c| d.col(c).dot(&pi) <= 0) {
-        // Mirrors the property's prop_assume: the canonical schedule is
+        // Mirrors the property's skip: the canonical schedule is
         // illegal for this word, so there is no makespan to bound.
         return;
     }
