@@ -2,7 +2,7 @@
 //!
 //! The paper's Section 3.1 closes with "Due to space limitation, the
 //! dependence structure of an algorithm for adding two integers is not
-//! included here [7]" — the structure lives in the unpublished technical
+//! included here \[7\]" — the structure lives in the unpublished technical
 //! report. We reconstruct the obvious candidate: the **ripple-carry adder**,
 //! a 1-dimensional uniform dependence algorithm whose only cross-iteration
 //! dependence is the carry (`d̄ = [1]`), plus a **carry-save (3:2) adder**

@@ -9,7 +9,7 @@
 //! second time, and repeated interactive evaluations paid the full
 //! `try_compile` cost every call. This crate removes that redundancy:
 //!
-//! * **Cache key** — [`CacheKey::of_schedule`] digests the *content* of the
+//! * **Cache key** — [`schedule_key`] digests the *content* of the
 //!   (expanded structure, mapping/schedule, machine description) triple with
 //!   a platform-stable FNV-1a-128 ([`digest::StableHasher`]), salted with
 //!   [`CACHE_KEY_VERSION`] and the schedule wire-format version. Anything

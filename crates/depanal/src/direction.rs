@@ -1,4 +1,4 @@
-//! Direction-vector dependence analysis (Banerjee [1], chapter-style).
+//! Direction-vector dependence analysis (Banerjee \[1\], chapter-style).
 //!
 //! Beyond the yes/no screening of [`crate::tests_classic`], classical
 //! dependence analysis refines a dependence by its **direction vector**: for

@@ -1,7 +1,7 @@
 //! Bit-level algorithm expansion: generating the explicit expanded program.
 //!
 //! "A word-level algorithm of the application can first be expanded into a
-//! bit-level algorithm [8]; this is followed by an analysis of the dependence
+//! bit-level algorithm \[8\]; this is followed by an analysis of the dependence
 //! relations of the bit-level algorithm" (Section 1). This module performs
 //! the first step mechanically: given a word-level algorithm of model (3.5),
 //! the add-shift arithmetic algorithm of word length `p`, and an

@@ -5,16 +5,16 @@
 //! Dependence analysis for bit-level algorithms — the paper's primary
 //! contribution plus the general baselines it is measured against:
 //!
-//! * [`compose`] — **Theorem 3.1**: the bit-level dependence structure as a
+//! * [`compose`](mod@compose) — **Theorem 3.1**: the bit-level dependence structure as a
 //!   closed-form function of the word-level structure, the add-shift
 //!   arithmetic structure, and the algorithm expansion ([`Expansion::I`] /
 //!   [`Expansion::II`]). `O(n)` time, never touches the compound index set.
-//! * [`expand`] — mechanical algorithm expansion: the explicit
-//!   `n+2`-dimensional guarded bit-level loop nest (à la RAB [8]).
+//! * [`expand`](mod@expand) — mechanical algorithm expansion: the explicit
+//!   `n+2`-dimensional guarded bit-level loop nest (à la RAB \[8\]).
 //! * [`exact`] — the "time consuming general dependence analysis methods":
 //!   exhaustive enumeration (ground truth) and the classical
 //!   Diophantine-solve-plus-verification route over the expanded code.
-//! * [`tests_classic`] — the GCD and Banerjee screening tests [1].
+//! * [`tests_classic`] — the GCD and Banerjee screening tests \[1\].
 //! * [`compare`] — cross-validation and timing of all routes (experiment E3).
 
 pub mod compare;

@@ -1,7 +1,7 @@
-//! Classical approximate dependence *tests*: GCD and Banerjee [1].
+//! Classical approximate dependence *tests*: GCD and Banerjee \[1\].
 //!
 //! "The dependence structure of the matrix multiplication algorithm in (2.3)
-//! can also be obtained by using Banerjee's technique [1]" (Section 2). These
+//! can also be obtained by using Banerjee's technique \[1\]" (Section 2). These
 //! tests decide — conservatively — whether a dependence *may* exist between a
 //! write `A_w·j̄_w + b̄_w` and a read `A_r·j̄_r + b̄_r` over the iteration box.
 //! Both are sound (never report "independent" when a dependence exists) but

@@ -1,4 +1,4 @@
-//! Broadcast elimination (Fortes & Moldovan [2]).
+//! Broadcast elimination (Fortes & Moldovan \[2\]).
 //!
 //! In program (2.2), the datum `x(j₁, j₃)` is needed by all `u` index points
 //! `[j₁, 1, j₃]ᵀ … [j₁, u, j₃]ᵀ`: a **broadcast**, which "is not preferred in

@@ -20,9 +20,8 @@ impl BoxSet {
     /// Creates the box `[l̄, ū]`.
     ///
     /// # Panics
-    /// Panics if dimensions differ or any `lᵢ > uᵢ` (empty boxes are
-    /// represented explicitly by [`BoxSet::empty`] semantics are not needed in
-    /// this codebase — the paper's loops always have `lᵢ ≤ uᵢ`).
+    /// Panics if dimensions differ or any `lᵢ > uᵢ` (empty boxes are not
+    /// needed in this codebase — the paper's loops always have `lᵢ ≤ uᵢ`).
     pub fn new(lower: IVec, upper: IVec) -> Self {
         assert_eq!(lower.dim(), upper.dim(), "bound dimension mismatch");
         assert!(

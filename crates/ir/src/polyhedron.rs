@@ -1,7 +1,7 @@
 //! General polyhedral index sets.
 //!
 //! The paper's algorithm model (2.1) has constant loop bounds — a box — but
-//! its mapping framework (Definition 4.1 and the cited design method [5,6])
+//! its mapping framework (Definition 4.1 and the cited design method \[5,6\])
 //! applies to any convex integer index set; the classic examples with
 //! non-rectangular sets are triangular loop nests such as LU decomposition,
 //! which the paper names as a target application. [`Polyhedron`] represents

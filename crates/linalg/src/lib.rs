@@ -9,9 +9,9 @@
 //! dependence-analysis baselines both reduce to small exact integer
 //! computations:
 //!
-//! * integer **rank** (condition 4 of Definition 4.1) — [`rank`],
+//! * integer **rank** (condition 4 of Definition 4.1) — [`rank`](mod@rank),
 //! * **coprimality** of the entries of a mapping matrix (condition 5) —
-//!   [`gcd`],
+//!   [`gcd`](mod@gcd),
 //! * **injectivity** of `τ(j̄) = Tj̄` on the index set (condition 3), which
 //!   needs an integer **nullspace** basis — [`nullspace`],
 //! * expressing `SD = PK` as small **linear Diophantine systems** (condition 2)

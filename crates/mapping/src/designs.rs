@@ -15,7 +15,7 @@
 //!   either way.)
 //!
 //! The word-level comparator of Section 4.2 — the best word-level matmul
-//! array [4] with total time `(3(u−1)+1)·t_b` — is also provided here in
+//! array \[4\] with total time `(3(u−1)+1)·t_b` — is also provided here in
 //! closed form; its simulation lives in `bitlevel-systolic`.
 
 use crate::interconnect::Interconnect;
@@ -79,7 +79,7 @@ impl PaperDesign {
 }
 
 /// Total time of the best **word-level** matmul array (Section 4.2, citing
-/// [4]): `(3(u−1)+1)·t_b`, where `t_b` is the word-PE latency of one
+/// \[4\]): `(3(u−1)+1)·t_b`, where `t_b` is the word-PE latency of one
 /// multiply-and-accumulate (`p²` for add-shift, `2p` for carry-save).
 pub fn word_level_total_time(u: i64, t_b: i64) -> i64 {
     (3 * (u - 1) + 1) * t_b

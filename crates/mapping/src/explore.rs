@@ -7,7 +7,7 @@
 //! and returns the deterministic Pareto frontier over
 //! `(total_time, processor_count, max_wire_length)` instead of a single
 //! optimum, in the spirit of the lower-dimensional synthesis literature the
-//! paper builds on (Shang & Fortes [5,6], Ganapathy & Wah [10]).
+//! paper builds on (Shang & Fortes \[5,6\], Ganapathy & Wah \[10\]).
 //!
 //! The search is branch-and-bound in structure:
 //!

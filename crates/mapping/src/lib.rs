@@ -3,7 +3,7 @@
 //! # bitlevel-mapping
 //!
 //! The linear algorithm-transformation framework of Section 4 (Definition
-//! 4.1, after Shang & Fortes [5,6] and Ganapathy & Wah [10]): mapping an
+//! 4.1, after Shang & Fortes \[5,6\] and Ganapathy & Wah \[10\]): mapping an
 //! `n`-dimensional algorithm `(J, D, E)` onto a `(k−1)`-dimensional processor
 //! array by `τ(j̄) = T·j̄`, `T = [S; Π]`.
 //!
@@ -16,7 +16,7 @@
 //!   and the exhaustive search for time-optimal schedules (Theorem 4.5);
 //! * [`designs`] — the paper's two concrete matmul architectures (Figs. 4–5)
 //!   and the Section 4.2 word-level comparator in closed form;
-//! * [`explore`] — the Pareto design-space explorer over `(S, Π, machine)`
+//! * [`explore`](mod@explore) — the Pareto design-space explorer over `(S, Π, machine)`
 //!   with branch-and-bound pruning;
 //! * [`error`] — typed errors for the `try_*` variants of the panicking
 //!   entry points.

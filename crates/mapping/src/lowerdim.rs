@@ -1,7 +1,7 @@
 //! Lower-dimensional array synthesis.
 //!
-//! The design method the paper builds on — Shang & Fortes [5,6] and
-//! Ganapathy & Wah [10] — is explicitly about mapping `n`-dimensional
+//! The design method the paper builds on — Shang & Fortes \[5,6\] and
+//! Ganapathy & Wah \[10\] — is explicitly about mapping `n`-dimensional
 //! algorithms onto **lower-dimensional** processor arrays ("Conflict-Free
 //! Scheduling of Nested Loop Algorithms on Lower Dimensional Processor
 //! Arrays", "Synthesizing Optimal Lower Dimensional Processor Arrays").

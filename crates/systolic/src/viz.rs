@@ -46,7 +46,7 @@ pub fn render_processor_grid(alg: &AlgorithmTriplet, t: &MappingMatrix) -> Strin
 
 /// Renders the machine's links with their use by each dependence column:
 /// the textual counterpart of the arrows in Figs. 4/5, including buffers
-/// ("there is a buffer on the interconnection primitive [1,0]ᵀ…").
+/// ("there is a buffer on the interconnection primitive \[1,0\]ᵀ…").
 pub fn render_links(alg: &AlgorithmTriplet, t: &MappingMatrix, ic: &Interconnect) -> String {
     let mut out = String::new();
     let d = alg.dependence_matrix();

@@ -2,7 +2,7 @@
 //!
 //! "We can compare the time optimal bit-level architecture in Fig. 4 with the
 //! best word-level architecture for matrix multiplication described in the
-//! literature [4]. The total execution time of the best word-level
+//! literature \[4\]. The total execution time of the best word-level
 //! architecture … is `(3(u−1)+1)·t_b`, where `t_b` is the time for
 //! multiplying two integers and adding two integers."
 //!
