@@ -2,14 +2,12 @@
 //! regenerated and compared against the paper's claim (index E1–E22 in
 //! DESIGN.md).
 //!
-//! The traceable experiments (E6, E7, E14, E15) also come in `_impl` forms
-//! taking a [`TraceSink`]; [`run_experiment_traced`] dispatches to them so
-//! `--trace <path>` can capture the simulated runs as they happen. The
-//! randomized experiments (E17's and E20's fault campaigns) come in
-//! `_seeded` forms;
-//! [`run_experiment_seeded`] threads one global seed (the binary's
-//! `--seed <u64>`) through every randomized path, with [`DEFAULT_SEED`]
-//! keeping the unseeded entry points reproducible.
+//! The traceable experiments (E6, E7, E14, E15) take a [`TraceSink`], so
+//! `--trace <path>` can capture the simulated runs as they happen, and the
+//! randomized ones (E17, E18, E20, E21) take a seed. [`run_experiment`]
+//! takes both and hands each experiment what it reads: one global seed (the
+//! binary's `--seed <u64>`, [`DEFAULT_SEED`] by default) reaches every
+//! randomized path, and the sink every traceable one.
 
 use crate::record::{Record, RecordTable};
 use bitlevel_arith::{AddShift, CarrySave};
@@ -17,14 +15,14 @@ use bitlevel_core::DesignFlow;
 use bitlevel_depanal::{
     compare_analyses, compose, enumerate_dependences, expand, instances_of_triplet, Expansion,
 };
-use bitlevel_fault::{monte_carlo_campaign, single_fault_campaign};
+use bitlevel_fault::{monte_carlo_campaign_with_cache, single_fault_campaign_with_cache};
 use bitlevel_ir::{BoxSet, WordLevelAlgorithm};
 use bitlevel_linalg::{IMat, IVec};
 use bitlevel_mapping::{find_optimal_schedule, word_level_total_time, Interconnect, PaperDesign};
 use bitlevel_systolic::{
     critical_path, fanin_histogram, mean_producer_depth, run_clocked, simulate_mapped,
-    simulate_mapped_compiled, CompiledSchedule, MatmulExpansionIICells, NullSink,
-    PartitionedSchedule, SimBackend, TraceSink, WordLevelArray,
+    CompiledSchedule, MatmulExpansionIICells, NoFaults, NullSink, PartitionedSchedule, SimBackend,
+    TraceSink, WordLevelArray,
 };
 
 /// Result of one experiment: the record table plus pass/fail.
@@ -365,24 +363,19 @@ pub fn e5() -> ExperimentOutcome {
     }
 }
 
-/// E6 — Fig. 4 / eq. (4.5): the time-optimal architecture, measured.
-pub fn e6() -> ExperimentOutcome {
-    e6_impl(&mut NullSink)
-}
-
-/// [`e6`] with observability: the paper-size (u = p = 3) run is traced into
-/// `sink` (larger sizes run untraced so the capture stays figure-sized).
-pub fn e6_impl<K: TraceSink>(sink: &mut K) -> ExperimentOutcome {
+/// E6 — Fig. 4 / eq. (4.5): the time-optimal architecture, measured. The
+/// paper-size (u = p = 3) run is traced into `sink` (larger sizes run
+/// untraced so the capture stays figure-sized).
+pub fn e6<K: TraceSink>(sink: &mut K) -> ExperimentOutcome {
     let mut t = RecordTable::new("E6: Fig. 4 architecture — eq. (4.5), measured");
     for (u, p) in [(2i64, 2i64), (3, 3), (4, 3), (3, 4), (5, 2)] {
         let alg = compose(&WordLevelAlgorithm::matmul(u), p as usize, Expansion::II);
         let design = PaperDesign::TimeOptimal;
+        let sched = CompiledSchedule::compile(&alg, &design.mapping(p), &design.interconnect(p));
         let run = if u == 3 && p == 3 {
-            CompiledSchedule::try_compile(&alg, &design.mapping(p), &design.interconnect(p))
-                .expect("the 7-column matmul structure compiles")
-                .mapped_report_traced(sink)
+            sched.mapped_report_faulted(sink, &NoFaults)
         } else {
-            simulate_mapped_compiled(&alg, &design.mapping(p), &design.interconnect(p))
+            sched.mapped_report()
         };
         t.push(Record::eq(
             &format!("cycles u={u} p={p}"),
@@ -415,24 +408,18 @@ pub fn e6_impl<K: TraceSink>(sink: &mut K) -> ExperimentOutcome {
     }
 }
 
-/// E7 — Fig. 5 / eqs. (4.6)–(4.8): the nearest-neighbour architecture.
-pub fn e7() -> ExperimentOutcome {
-    e7_impl(&mut NullSink)
-}
-
-/// [`e7`] with observability: the paper-size (u = p = 3) run is traced into
-/// `sink`.
-pub fn e7_impl<K: TraceSink>(sink: &mut K) -> ExperimentOutcome {
+/// E7 — Fig. 5 / eqs. (4.6)–(4.8): the nearest-neighbour architecture. The
+/// paper-size (u = p = 3) run is traced into `sink`.
+pub fn e7<K: TraceSink>(sink: &mut K) -> ExperimentOutcome {
     let mut t = RecordTable::new("E7: Fig. 5 architecture — eqs. (4.6)-(4.8), measured");
     for (u, p) in [(2i64, 2i64), (3, 3), (4, 3)] {
         let alg = compose(&WordLevelAlgorithm::matmul(u), p as usize, Expansion::II);
         let design = PaperDesign::NearestNeighbour;
+        let sched = CompiledSchedule::compile(&alg, &design.mapping(p), &design.interconnect(p));
         let run = if u == 3 && p == 3 {
-            CompiledSchedule::try_compile(&alg, &design.mapping(p), &design.interconnect(p))
-                .expect("the 7-column matmul structure compiles")
-                .mapped_report_traced(sink)
+            sched.mapped_report_faulted(sink, &NoFaults)
         } else {
-            simulate_mapped_compiled(&alg, &design.mapping(p), &design.interconnect(p))
+            sched.mapped_report()
         };
         // NOTE: the paper prints t' = (2p-1)(u-1)+3(p-1)+1 in (4.8), but its
         // own Π'(ū−l̄)+1 expansion gives (2p+1)(u-1)+3(p-1)+1; we measure the
@@ -526,11 +513,12 @@ pub fn e8() -> ExperimentOutcome {
         .collect();
     let wr = word.run(&x, &y);
     let alg = compose(&WordLevelAlgorithm::matmul(u), p as usize, Expansion::II);
-    let br = simulate_mapped_compiled(
+    let br = CompiledSchedule::compile(
         &alg,
         &PaperDesign::TimeOptimal.mapping(p),
         &PaperDesign::TimeOptimal.interconnect(p),
-    );
+    )
+    .mapped_report();
     t.push(Record::info(
         &format!("measured cycles u={u} p={p}"),
         "bit-level << word-level (add-shift PE)",
@@ -635,7 +623,7 @@ pub fn e9() -> ExperimentOutcome {
 }
 
 /// E10 — extension: lower-dimensional (linear) array synthesis, per the
-/// design method the paper builds on ([5,6,10] map onto *lower dimensional*
+/// design method the paper builds on (\[5,6,10\] map onto *lower dimensional*
 /// arrays; Definition 4.1 already supports any `k`).
 pub fn e10() -> ExperimentOutcome {
     use bitlevel_mapping::{
@@ -967,15 +955,10 @@ pub fn e13() -> ExperimentOutcome {
 
 /// E14 — extension: the compiled static-schedule simulation backend — dense
 /// point slots, CSR fire list, arena token store — bit-identical to the
-/// interpreted engines and faster per executed run.
-pub fn e14() -> ExperimentOutcome {
-    e14_impl(&mut NullSink)
-}
-
-/// [`e14`] with observability: the (u = p = 3) Fig. 4 compiled clocked run
-/// is traced into `sink` while its bit-identity against the interpreted
-/// engine is being checked.
-pub fn e14_impl<K: TraceSink>(sink: &mut K) -> ExperimentOutcome {
+/// interpreted engines and faster per executed run. The (u = p = 3) Fig. 4
+/// compiled clocked run is traced into `sink` while its bit-identity
+/// against the interpreted engine is being checked.
+pub fn e14<K: TraceSink>(sink: &mut K) -> ExperimentOutcome {
     use bitlevel_systolic::{run_clocked, BitMatmulArray, MatmulExpansionIICells, SimBackend};
     let mut t = RecordTable::new("E14 (extension): compiled simulation backend");
 
@@ -1017,7 +1000,7 @@ pub fn e14_impl<K: TraceSink>(sink: &mut K) -> ExperimentOutcome {
             let sched = CompiledSchedule::try_compile(&alg, &tm, &ic)
                 .expect("the 7-column matmul structure compiles");
             let comp = if u == 3 && p == 3 && matches!(design, PaperDesign::TimeOptimal) {
-                sched.execute_traced(&cells, sink)
+                sched.execute_faulted(&cells, sink, &NoFaults)
             } else {
                 sched.execute(&cells)
             };
@@ -1091,15 +1074,10 @@ pub fn e14_impl<K: TraceSink>(sink: &mut K) -> ExperimentOutcome {
 
 /// E15 — extension: measured utilisation and wavefront profiles of the two
 /// paper designs, captured through the trace layer from real clocked runs —
-/// the observability counterpart of the Figs. 4/5 comparison.
-pub fn e15() -> ExperimentOutcome {
-    e15_impl(&mut NullSink)
-}
-
-/// [`e15`] with observability: both paper-design runs are recorded into
-/// local sinks for profiling, and (when `outer` is enabled) their full event
-/// streams are replayed into it.
-pub fn e15_impl<K: TraceSink>(outer: &mut K) -> ExperimentOutcome {
+/// the observability counterpart of the Figs. 4/5 comparison. Both
+/// paper-design runs are recorded into local sinks for profiling, and (when
+/// `outer` is enabled) their full event streams are replayed into it.
+pub fn e15<K: TraceSink>(outer: &mut K) -> ExperimentOutcome {
     use bitlevel_systolic::{BitMatmulArray, MatmulExpansionIICells, RecordingSink};
     let mut t =
         RecordTable::new("E15 (extension): traced wavefront/utilisation profiles — Fig. 4 vs 5");
@@ -1128,7 +1106,7 @@ pub fn e15_impl<K: TraceSink>(outer: &mut K) -> ExperimentOutcome {
             CompiledSchedule::try_compile(&alg, &design.mapping(p), &design.interconnect(p))
                 .expect("the 7-column matmul structure compiles");
         let mut rec = RecordingSink::new();
-        let run = sched.execute_traced(&cells, &mut rec);
+        let run = sched.execute_faulted(&cells, &mut rec, &NoFaults);
         t.push(Record::eq(
             &format!("traced firings, {}", design.name()),
             (u as u64).pow(3) * (p as u64).pow(2),
@@ -1293,13 +1271,14 @@ pub fn e16() -> ExperimentOutcome {
 /// paper designs. The resilience bar: under checksum protection no single
 /// transient flip may escape as silent data corruption, and the interpreted
 /// and compiled engines must classify every case identically.
-pub fn e17_seeded(seed: u64) -> ExperimentOutcome {
+pub fn e17(seed: u64) -> ExperimentOutcome {
     let mut t = RecordTable::new(
         "E17 (extension): fault injection & ABFT — exhaustive single-fault sweep + Monte Carlo",
     );
     let (u, p) = (2usize, 2usize);
+    let cache = bitlevel_core::CompileCache::new();
     for design in [PaperDesign::TimeOptimal, PaperDesign::NearestNeighbour] {
-        let r = single_fault_campaign(design, u, p, seed);
+        let r = single_fault_campaign_with_cache(design, u, p, seed, &cache);
         t.push(Record::eq(
             &format!("{design:?}: exhaustive cases = |J| x signal bits"),
             32 * 5,
@@ -1332,7 +1311,7 @@ pub fn e17_seeded(seed: u64) -> ExperimentOutcome {
             ),
             r.masked + r.detected == r.total,
         ));
-        let mc = monte_carlo_campaign(design, u, p, seed, 40, 0.01);
+        let mc = monte_carlo_campaign_with_cache(design, u, p, seed, 40, 0.01, &cache);
         t.push(Record::info(
             &format!("{design:?}: Monte Carlo, 40 trials at rate 0.01"),
             "multi-fault SDC measured (not asserted); engines agree",
@@ -1349,11 +1328,6 @@ pub fn e17_seeded(seed: u64) -> ExperimentOutcome {
     }
 }
 
-/// [`e17_seeded`] at [`DEFAULT_SEED`].
-pub fn e17() -> ExperimentOutcome {
-    e17_seeded(DEFAULT_SEED)
-}
-
 /// E18 (extension): the lane-packed batch engine — up to 64 independent
 /// problem instances in the bit-lanes of a `u64`, one compiled schedule walk
 /// per word. Measures instances/sec against lane width on both paper designs
@@ -1361,7 +1335,7 @@ pub fn e17() -> ExperimentOutcome {
 /// exists for: every lane bit-exact against native arithmetic at every
 /// width, and width 64 at least 8× the throughput of width 1 (one walk's
 /// bookkeeping amortised over a full word of lanes).
-pub fn e18_seeded(seed: u64) -> ExperimentOutcome {
+pub fn e18(seed: u64) -> ExperimentOutcome {
     let mut t =
         RecordTable::new("E18 (extension): bit-sliced batch engine — instances/sec vs lane width");
     let rows = crate::sweeps::batch_sweep(
@@ -1398,11 +1372,6 @@ pub fn e18_seeded(seed: u64) -> ExperimentOutcome {
         id: "e18".into(),
         table: t,
     }
-}
-
-/// [`e18_seeded`] at [`DEFAULT_SEED`].
-pub fn e18() -> ExperimentOutcome {
-    e18_seeded(DEFAULT_SEED)
 }
 
 /// E19 (extension): the content-hashed compile cache — the cold/warm
@@ -1491,7 +1460,7 @@ pub fn e19() -> ExperimentOutcome {
 /// campaign, and the ABFT zero-SDC result survives the packing. The
 /// throughput row is the point of the exercise: width 64 must beat width 1
 /// by at least 8x on fault-cases/sec.
-pub fn e20_seeded(seed: u64) -> ExperimentOutcome {
+pub fn e20(seed: u64) -> ExperimentOutcome {
     let mut t = RecordTable::new(
         "E20 (extension): lane-packed fault campaigns — fault-cases/sec vs lane width",
     );
@@ -1539,11 +1508,6 @@ pub fn e20_seeded(seed: u64) -> ExperimentOutcome {
     }
 }
 
-/// [`e20_seeded`] at [`DEFAULT_SEED`].
-pub fn e20() -> ExperimentOutcome {
-    e20_seeded(DEFAULT_SEED)
-}
-
 /// E21 (extension): LSGP partitioned execution — the unbounded virtual PE
 /// array folded onto a fixed pool of physical workers (the
 /// `BENCH_partition.json` series). The hard bars are correctness and the
@@ -1552,7 +1516,7 @@ pub fn e20() -> ExperimentOutcome {
 /// non-increasing in workers, a (u, p) = (8, 4) design — 1024 virtual PEs —
 /// executes bit-identically to the interpreted oracle on a pool of 8, and
 /// the budgeted explorer emits a frontier respecting the physical budget.
-pub fn e21_seeded(seed: u64) -> ExperimentOutcome {
+pub fn e21(seed: u64) -> ExperimentOutcome {
     let mut t = RecordTable::new(
         "E21 (extension): LSGP partitioned execution — instances/sec vs physical workers",
     );
@@ -1649,11 +1613,6 @@ pub fn e21_seeded(seed: u64) -> ExperimentOutcome {
     }
 }
 
-/// [`e21_seeded`] at [`DEFAULT_SEED`].
-pub fn e21() -> ExperimentOutcome {
-    e21_seeded(DEFAULT_SEED)
-}
-
 /// E22 (extension): the long-running NDJSON evaluation service
 /// (`bitlevel-serve`) sharing one compile cache across concurrent requests
 /// (the `BENCH_serve.json` series). The hard bars: eight concurrent
@@ -1662,7 +1621,7 @@ pub fn e21() -> ExperimentOutcome {
 /// frames; a zero deadline comes back as a typed `timeout` error frame on a
 /// still-usable connection; and on every sweep row the warm (cache-shared)
 /// path sustains positive throughput with one compile per server session.
-pub fn e22_seeded(_seed: u64) -> ExperimentOutcome {
+pub fn e22() -> ExperimentOutcome {
     use bitlevel_serve::{
         serve, DesignSpec, ErrorKind, Frame, Request, RequestEnvelope, ServeClient, ServeConfig,
     };
@@ -1788,84 +1747,61 @@ pub fn e22_seeded(_seed: u64) -> ExperimentOutcome {
     }
 }
 
-/// [`e22_seeded`] at [`DEFAULT_SEED`].
-pub fn e22() -> ExperimentOutcome {
-    e22_seeded(DEFAULT_SEED)
-}
-
 const ALL_IDS: [&str; 22] = [
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
     "e16", "e17", "e18", "e19", "e20", "e21", "e22",
 ];
 
-/// The experiments that accept a trace sink (see [`run_experiment_traced`]).
+/// The experiments that record into the sink [`run_experiment`] takes.
 pub const TRACEABLE_IDS: [&str; 4] = ["e6", "e7", "e14", "e15"];
 
 /// The seed every randomized path uses when none is given, so unseeded runs
 /// stay reproducible.
 pub const DEFAULT_SEED: u64 = 0x1CC7_1993;
 
-/// Runs one experiment by id ("e1" … "e22") at [`DEFAULT_SEED`].
-pub fn run_experiment(id: &str) -> Option<ExperimentOutcome> {
-    run_experiment_seeded(id, DEFAULT_SEED)
-}
-
-/// Runs one experiment by id with an explicit seed for every randomized
-/// path (E17/E18/E20 draw seeded operands; the other experiments are
-/// deterministic and ignore the seed).
-pub fn run_experiment_seeded(id: &str, seed: u64) -> Option<ExperimentOutcome> {
+/// Runs one experiment by id ("e1" … "e22"). `seed` reaches every
+/// randomized path (E17, E18, E20 and E21 draw seeded operands; the other
+/// experiments are deterministic and ignore it), and the experiments in
+/// [`TRACEABLE_IDS`] emit their simulated runs' event streams into `sink`
+/// (every other id records nothing).
+pub fn run_experiment<K: TraceSink>(
+    id: &str,
+    seed: u64,
+    sink: &mut K,
+) -> Option<ExperimentOutcome> {
     match id.to_ascii_lowercase().as_str() {
         "e1" => Some(e1()),
         "e2" => Some(e2()),
         "e3" => Some(e3()),
         "e4" => Some(e4()),
         "e5" => Some(e5()),
-        "e6" => Some(e6()),
-        "e7" => Some(e7()),
+        "e6" => Some(e6(sink)),
+        "e7" => Some(e7(sink)),
         "e8" => Some(e8()),
         "e9" => Some(e9()),
         "e10" => Some(e10()),
         "e11" => Some(e11()),
         "e12" => Some(e12()),
         "e13" => Some(e13()),
-        "e14" => Some(e14()),
-        "e15" => Some(e15()),
+        "e14" => Some(e14(sink)),
+        "e15" => Some(e15(sink)),
         "e16" => Some(e16()),
-        "e17" => Some(e17_seeded(seed)),
-        "e18" => Some(e18_seeded(seed)),
+        "e17" => Some(e17(seed)),
+        "e18" => Some(e18(seed)),
         "e19" => Some(e19()),
-        "e20" => Some(e20_seeded(seed)),
-        "e21" => Some(e21_seeded(seed)),
-        "e22" => Some(e22_seeded(seed)),
+        "e20" => Some(e20(seed)),
+        "e21" => Some(e21(seed)),
+        "e22" => Some(e22()),
         _ => None,
     }
 }
 
-/// Runs one experiment with a trace sink attached. For the ids in
-/// [`TRACEABLE_IDS`] the simulated runs emit their event streams into
-/// `sink`; every other id runs exactly as [`run_experiment`] (nothing is
-/// recorded).
-pub fn run_experiment_traced<K: TraceSink>(id: &str, sink: &mut K) -> Option<ExperimentOutcome> {
-    match id.to_ascii_lowercase().as_str() {
-        "e6" => Some(e6_impl(sink)),
-        "e7" => Some(e7_impl(sink)),
-        "e14" => Some(e14_impl(sink)),
-        "e15" => Some(e15_impl(sink)),
-        other => run_experiment(other),
-    }
-}
-
-/// Runs the whole suite in order at [`DEFAULT_SEED`].
-pub fn run_all() -> Vec<ExperimentOutcome> {
-    run_all_seeded(DEFAULT_SEED)
-}
-
-/// Runs the whole suite in order with an explicit seed for the randomized
+/// Runs the whole suite in order, untraced, with `seed` for the randomized
 /// experiments.
-pub fn run_all_seeded(seed: u64) -> Vec<ExperimentOutcome> {
+pub fn run_all(seed: u64) -> Vec<ExperimentOutcome> {
     ALL_IDS
         .iter()
-        .map(|id| run_experiment_seeded(id, seed).expect("known id"))
+        .map(|id| run_experiment(id, seed, &mut NullSink).expect("known id"))
         .collect()
 }
 
@@ -1875,7 +1811,7 @@ mod tests {
 
     #[test]
     fn every_experiment_confirms_the_paper() {
-        for outcome in run_all() {
+        for outcome in run_all(DEFAULT_SEED) {
             assert!(
                 outcome.passed(),
                 "experiment {} failed:\n{}",
@@ -1887,8 +1823,7 @@ mod tests {
 
     #[test]
     fn unknown_id_is_none() {
-        assert!(run_experiment("e42").is_none());
-        assert!(run_experiment_traced("e42", &mut NullSink).is_none());
+        assert!(run_experiment("e42", DEFAULT_SEED, &mut NullSink).is_none());
     }
 
     #[test]
@@ -1900,12 +1835,12 @@ mod tests {
 
     #[test]
     fn e17_is_seed_deterministic_and_holds_at_any_seed() {
-        let a = run_experiment_seeded("e17", 1).expect("known id");
-        let b = run_experiment_seeded("e17", 1).expect("known id");
+        let a = e17(1);
+        let b = e17(1);
         assert!(a.passed(), "{}", a.table.render_text());
         assert_eq!(a.table.render_text(), b.table.render_text());
         // The zero-SDC and engine-agreement bars are seed-independent.
-        let c = run_experiment_seeded("e17", 0xDEAD_BEEF).expect("known id");
+        let c = e17(0xDEAD_BEEF);
         assert!(c.passed(), "{}", c.table.render_text());
     }
 
@@ -1914,7 +1849,7 @@ mod tests {
         use bitlevel_json::Json;
         use bitlevel_systolic::RecordingSink;
         let mut sink = RecordingSink::new();
-        let outcome = run_experiment_traced("e6", &mut sink).expect("known id");
+        let outcome = e6(&mut sink);
         assert!(outcome.passed(), "{}", outcome.table.render_text());
         // The traced size is u = p = 3: |J| = u³p² = 243 firings over the
         // 13 cycles of eq. (4.5).
@@ -1937,8 +1872,8 @@ mod tests {
         use bitlevel_systolic::RecordingSink;
         for id in ["e6", "e7"] {
             let mut sink = RecordingSink::new();
-            let traced = run_experiment_traced(id, &mut sink).expect("known id");
-            let plain = run_experiment(id).expect("known id");
+            let traced = run_experiment(id, DEFAULT_SEED, &mut sink).expect("known id");
+            let plain = run_experiment(id, DEFAULT_SEED, &mut NullSink).expect("known id");
             assert_eq!(traced.passed(), plain.passed(), "{id}");
             assert!(!sink.events().is_empty(), "{id} must record events");
         }
@@ -1948,7 +1883,7 @@ mod tests {
     fn e15_replays_both_design_profiles_into_the_outer_sink() {
         use bitlevel_systolic::{RecordingSink, TraceEvent};
         let mut sink = RecordingSink::new();
-        let outcome = run_experiment_traced("e15", &mut sink).expect("known id");
+        let outcome = e15(&mut sink);
         assert!(outcome.passed(), "{}", outcome.table.render_text());
         // Both designs' runs land in the outer sink: 2 × |J| firings.
         assert_eq!(sink.rollup().fire_total(), 2 * 243);

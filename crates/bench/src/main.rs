@@ -28,11 +28,8 @@
 //!                    BENCH_serve.json)
 //! ```
 
-use bitlevel_bench::{
-    run_all_seeded, run_experiment_seeded, run_experiment_traced, sweeps, DEFAULT_SEED,
-    TRACEABLE_IDS,
-};
-use bitlevel_systolic::RecordingSink;
+use bitlevel_bench::{run_all, run_experiment, sweeps, DEFAULT_SEED, TRACEABLE_IDS};
+use bitlevel_systolic::{NullSink, RecordingSink};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -187,7 +184,7 @@ fn main() {
                 std::process::exit(2);
             }
             let mut sink = RecordingSink::new();
-            match run_experiment_traced(&id_lower, &mut sink) {
+            match run_experiment(&id_lower, seed, &mut sink) {
                 Some(o) => {
                     let rendered = if path.ends_with(".csv") {
                         sink.to_csv()
@@ -214,14 +211,14 @@ fn main() {
             );
             std::process::exit(2);
         }
-        (Some(id), None) => match run_experiment_seeded(&id, seed) {
+        (Some(id), None) => match run_experiment(&id, seed, &mut NullSink) {
             Some(o) => vec![o],
             None => {
                 eprintln!("unknown experiment id {id} (use e1..e22)");
                 std::process::exit(2);
             }
         },
-        (None, None) => run_all_seeded(seed),
+        (None, None) => run_all(seed),
     };
 
     let mut all_ok = true;

@@ -54,8 +54,8 @@ use bitlevel_ir::WordLevelAlgorithm;
 use bitlevel_json::Json;
 use bitlevel_mapping::{word_level_total_time, PaperDesign};
 use bitlevel_systolic::{
-    run_clocked, simulate_mapped_compiled, BitMatmulArray, CompiledSchedule,
-    MatmulExpansionIICells, MatmulLaneCells, PartitionedSchedule, RecordingSink, MAX_LANES,
+    run_clocked, BitMatmulArray, CompiledSchedule, MatmulExpansionIICells, MatmulLaneCells,
+    NoFaults, PartitionedSchedule, RecordingSink, MAX_LANES,
 };
 use std::time::Instant;
 
@@ -86,16 +86,18 @@ pub fn speedup_sweep(sizes: &[(i64, i64)]) -> Vec<SpeedupRow> {
         .iter()
         .map(|&(u, p)| {
             let alg = compose(&WordLevelAlgorithm::matmul(u), p as usize, Expansion::II);
-            let fig4 = simulate_mapped_compiled(
+            let fig4 = CompiledSchedule::compile(
                 &alg,
                 &PaperDesign::TimeOptimal.mapping(p),
                 &PaperDesign::TimeOptimal.interconnect(p),
-            );
-            let fig5 = simulate_mapped_compiled(
+            )
+            .mapped_report();
+            let fig5 = CompiledSchedule::compile(
                 &alg,
                 &PaperDesign::NearestNeighbour.mapping(p),
                 &PaperDesign::NearestNeighbour.interconnect(p),
-            );
+            )
+            .mapped_report();
             assert!(fig4.conflict_free && fig4.causality_ok);
             assert!(fig5.conflict_free && fig5.causality_ok);
             let word_addshift =
@@ -218,8 +220,12 @@ pub fn utilization_sweep(sizes: &[(i64, i64)]) -> Vec<UtilizationRow> {
             [PaperDesign::TimeOptimal, PaperDesign::NearestNeighbour]
                 .into_iter()
                 .map(|design| {
-                    let run =
-                        simulate_mapped_compiled(&alg, &design.mapping(p), &design.interconnect(p));
+                    let run = CompiledSchedule::compile(
+                        &alg,
+                        &design.mapping(p),
+                        &design.interconnect(p),
+                    )
+                    .mapped_report();
                     UtilizationRow {
                         u,
                         p,
@@ -381,7 +387,7 @@ pub fn wavefront_sweep(u: i64, p: i64) -> Vec<WavefrontRow> {
         let mut sink = RecordingSink::new();
         CompiledSchedule::try_compile(&alg, &design.mapping(p), &design.interconnect(p))
             .expect("the 7-column matmul structure compiles")
-            .mapped_report_traced(&mut sink);
+            .mapped_report_faulted(&mut sink, &NoFaults);
         let lo = sink.rollup().wavefront.keys().next().copied().unwrap_or(0);
         sink.rollup()
             .wavefront
@@ -725,7 +731,7 @@ fn best_of_rounds<T>(n: usize, mut run: impl FnMut(usize) -> T) -> Vec<(u128, T)
 ///
 /// The walks of one row run one after another, so the row isolates what the
 /// batch engine claims: per-walk overhead amortised over lanes. Widths are
-/// timed round-robin by [`best_of_rounds`].
+/// timed round-robin by `best_of_rounds`.
 pub fn batch_sweep(widths: &[usize], instances: usize, seed: u64) -> Vec<BatchRow> {
     let (u, p) = (3usize, 4usize);
     let cap = BitMatmulArray::new(u, p).max_safe_entry();
@@ -1042,7 +1048,7 @@ pub struct FaultBatchRow {
 ///
 /// All campaigns of one design share one [`CompileCache`], so the schedule
 /// compiles once per design and the rows time fault replay, not
-/// compilation. Widths are timed round-robin by [`best_of_rounds`]: a whole
+/// compilation. Widths are timed round-robin by `best_of_rounds`: a whole
 /// width-64 campaign takes well under a millisecond, where one scheduler
 /// hiccup, or a host slowing down between width 1 and width 64, would
 /// otherwise distort the throughput series and the ratio CI gates.
@@ -1173,7 +1179,7 @@ pub struct PartitionRow {
     /// Cycle count of one walk.
     pub cycles: i64,
     /// Wall time for the whole batch's walk under this partition (ns, best
-    /// of [`best_of_rounds`]' rounds). The walk is the compiled engine's at
+    /// of `best_of_rounds`' rounds). The walk is the compiled engine's at
     /// every pool size.
     pub wall_ns: u128,
     /// Throughput: `instances / wall seconds`.
@@ -1192,7 +1198,7 @@ pub struct PartitionRow {
 /// All pool sizes of one design share one [`CompileCache`] schedule, and a
 /// partitioned run walks that schedule, so throughput is flat across pool
 /// sizes by construction; the counted columns are the result. Pool sizes
-/// are timed round-robin by [`best_of_rounds`].
+/// are timed round-robin by `best_of_rounds`.
 pub fn partition_sweep(workers_list: &[usize], instances: usize, seed: u64) -> Vec<PartitionRow> {
     let (u, p) = (4usize, 3usize);
     let cap = BitMatmulArray::new(u, p).max_safe_entry();

@@ -46,10 +46,10 @@ pub use bitlevel_arith::{AddShift, CarrySave, MultiplierAlgorithm, RippleAdder};
 pub use bitlevel_cache::{schedule_key, CacheKey, CacheOutcome, CacheStats, CompileCache};
 pub use bitlevel_depanal::{compare_analyses, compose, expand, Expansion};
 pub use bitlevel_fault::{
-    batched_single_fault_campaign, monte_carlo_campaign, monte_carlo_campaign_with_cache,
-    single_fault_campaign, single_fault_campaign_with_cache, BatchedFaultCampaignReport,
-    BatchedFaultCase, FaultCampaignReport, FaultKind, FaultOutcome, FaultPlan, MonteCarloReport,
-    RandomFault, TargetedFault,
+    batched_single_fault_campaign, monte_carlo_campaign_with_cache, single_fault_campaign,
+    single_fault_campaign_with_cache, BatchedFaultCampaignReport, BatchedFaultCase,
+    FaultCampaignReport, FaultKind, FaultOutcome, FaultPlan, MonteCarloReport, RandomFault,
+    TargetedFault,
 };
 pub use bitlevel_ir::{AlgorithmTriplet, BoxSet, WordLevelAlgorithm};
 pub use bitlevel_mapping::{
@@ -57,8 +57,7 @@ pub use bitlevel_mapping::{
     Interconnect, MachineOption, MappingError, MappingMatrix, PaperDesign,
 };
 pub use bitlevel_systolic::{
-    run_clocked_compiled, simulate_mapped, simulate_mapped_compiled, BackendConfigError,
-    BitMatmulArray, CompiledSchedule, NullSink, PartitionError, PartitionStats,
-    PartitionedSchedule, PersistError, RecordingSink, SimBackend, TraceConfig, TraceEvent,
-    TraceRollup, TraceSink, WordLevelArray, SCHEDULE_FORMAT_VERSION,
+    simulate_mapped, BackendConfigError, BitMatmulArray, CompiledSchedule, NullSink,
+    PartitionError, PartitionStats, PartitionedSchedule, PersistError, RecordingSink, SimBackend,
+    TraceConfig, TraceEvent, TraceRollup, TraceSink, WordLevelArray, SCHEDULE_FORMAT_VERSION,
 };

@@ -299,11 +299,17 @@ pub struct BatchRunReport {
     pub design: String,
     /// Number of problem instances in the batch.
     pub instances: usize,
-    /// Lane width per schedule walk — the clamped `CompiledBatch` width on
-    /// the word-parallel path, `1` on every scalar path.
+    /// Lane width per schedule walk:
+    /// * under [`SimBackend::CompiledBatch`], the configured width clamped
+    ///   to `1..=64`, even when the batch holds fewer instances;
+    /// * under [`SimBackend::Partitioned`], also when it falls back to the
+    ///   compiled engine, the lanes of the first walk: `min(instances, 64)`;
+    /// * `1` on every scalar path, fallbacks to the interpreted engine
+    ///   included.
     pub width: usize,
-    /// Number of schedule walks actually performed
-    /// (`⌈instances/width⌉` word-parallel, `instances` scalar).
+    /// Number of schedule walks actually performed: `⌈instances/width⌉`
+    /// under `CompiledBatch`, `⌈instances/64⌉` under `Partitioned`, and
+    /// `instances` on every scalar path.
     pub walks: usize,
     /// Measured cycle count of one walk (schedule-determined, hence
     /// identical across walks and lanes).
@@ -388,21 +394,7 @@ impl DesignFlow {
         ic: &Interconnect,
         closed_form_cycles: Option<i64>,
     ) -> ArchitectureReport {
-        self.evaluate_traced(name, t, ic, closed_form_cycles, &mut NullSink)
-    }
-
-    /// [`DesignFlow::evaluate`] with observability: every firing, token
-    /// movement, and violation of the simulated run is emitted into `sink`.
-    pub fn evaluate_traced<K: TraceSink>(
-        &self,
-        name: &str,
-        t: &MappingMatrix,
-        ic: &Interconnect,
-        closed_form_cycles: Option<i64>,
-        sink: &mut K,
-    ) -> ArchitectureReport {
-        let alg = self.bit_level_structure();
-        self.evaluate_structure_traced(name, &alg, t, ic, closed_form_cycles, sink)
+        self.evaluate_structure(name, &self.bit_level_structure(), t, ic, closed_form_cycles)
     }
 
     /// Step 3+4 for an explicit bit-level structure, bypassing the flow's own
@@ -417,51 +409,33 @@ impl DesignFlow {
         ic: &Interconnect,
         closed_form_cycles: Option<i64>,
     ) -> ArchitectureReport {
-        self.evaluate_structure_traced(name, alg, t, ic, closed_form_cycles, &mut NullSink)
+        self.evaluate_structure_faulted(
+            name,
+            alg,
+            t,
+            ic,
+            closed_form_cycles,
+            &mut NullSink,
+            &NoFaults,
+        )
     }
 
-    /// [`DesignFlow::evaluate_structure`] with observability.
+    /// [`DesignFlow::evaluate_structure`] with observability and fault
+    /// injection — the one body of every timing-only evaluation: the
+    /// Definition 4.1 check, then the mapped run on the flow's backend.
+    /// Every firing, token movement and violation of the run is emitted into
+    /// `sink`. The timing simulation consults `faults` for dead PEs and
+    /// dropped/duplicated link transfers (resolve a `bitlevel_fault::FaultPlan`
+    /// against the structure to build one); injections surface as
+    /// [`TraceEvent::FaultInjected`] events. [`NullSink`] and [`NoFaults`]
+    /// make it [`DesignFlow::evaluate_structure`]; pass
+    /// `&flow.bit_level_structure()` to evaluate the flow's own structure.
     ///
     /// Under [`SimBackend::Compiled`], structures the compiled backend cannot
     /// represent (more than 64 dependence columns, or an index set whose
     /// cardinality overflows the dense `u32` slot space) degrade gracefully:
     /// a [`TraceEvent::BackendFallback`] is emitted, the interpreted engine
     /// runs instead, and the report's `backend_used` records the reason.
-    pub fn evaluate_structure_traced<K: TraceSink>(
-        &self,
-        name: &str,
-        alg: &AlgorithmTriplet,
-        t: &MappingMatrix,
-        ic: &Interconnect,
-        closed_form_cycles: Option<i64>,
-        sink: &mut K,
-    ) -> ArchitectureReport {
-        self.evaluate_structure_faulted(name, alg, t, ic, closed_form_cycles, sink, &NoFaults)
-    }
-
-    /// [`DesignFlow::evaluate_traced`] under fault injection: the timing
-    /// simulation consults `faults` for dead PEs and dropped/duplicated
-    /// link transfers (resolve a `bitlevel_fault::FaultPlan` against the
-    /// flow's structure to build one), with the same backend dispatch and
-    /// graceful interpreted fallback as the faultless path. Injections
-    /// surface as [`TraceEvent::FaultInjected`] events in `sink`.
-    pub fn evaluate_faulted<K: TraceSink, F: FaultInjector<()>>(
-        &self,
-        name: &str,
-        t: &MappingMatrix,
-        ic: &Interconnect,
-        closed_form_cycles: Option<i64>,
-        sink: &mut K,
-        faults: &F,
-    ) -> ArchitectureReport {
-        let alg = self.bit_level_structure();
-        self.evaluate_structure_faulted(name, &alg, t, ic, closed_form_cycles, sink, faults)
-    }
-
-    /// The one body of every timing-only evaluation: the Definition 4.1
-    /// check, then the mapped run on the engine
-    /// [`DesignFlow::resolve_engine`] picks. [`NoFaults`] makes it the
-    /// faultless evaluation.
     ///
     /// Both results are pure functions of the cache key, so a compiled
     /// engine takes the feasibility verdict from its cache entry, and an
@@ -469,7 +443,7 @@ impl DesignFlow {
     /// walking. A live sink or injector always walks: its events and
     /// injected faults are the point of the call.
     #[allow(clippy::too_many_arguments)]
-    fn evaluate_structure_faulted<K: TraceSink, F: FaultInjector<()>>(
+    pub fn evaluate_structure_faulted<K: TraceSink, F: FaultInjector<()>>(
         &self,
         name: &str,
         alg: &AlgorithmTriplet,
@@ -571,7 +545,7 @@ impl DesignFlow {
     }
 
     /// Full design-space exploration (steps 3+4 over the whole frontier):
-    /// runs [`bitlevel_mapping::explore`] over `spaces × config.machines`,
+    /// runs [`bitlevel_mapping::explore()`] over `spaces × config.machines`,
     /// then **verifies** every frontier design — evaluation on the flow's
     /// backend (compiled with interpreted fallback, `backend_used` recorded)
     /// plus a field-by-field bit-exact comparison against an independent
@@ -581,25 +555,15 @@ impl DesignFlow {
         spaces: &[IMat],
         config: &ExploreConfig,
     ) -> Result<ExplorationReport, MappingError> {
-        self.explore_traced(spaces, config, &mut NullSink)
+        self.explore_streamed(spaces, config, &mut NullSink, |_| {})
     }
 
-    /// [`DesignFlow::explore`] with observability: the verification run of
-    /// every frontier design streams its events (including any
-    /// [`TraceEvent::BackendFallback`]) into `sink`.
-    pub fn explore_traced<K: TraceSink>(
-        &self,
-        spaces: &[IMat],
-        config: &ExploreConfig,
-        sink: &mut K,
-    ) -> Result<ExplorationReport, MappingError> {
-        self.explore_streamed(spaces, config, sink, |_| {})
-    }
-
-    /// [`DesignFlow::explore_traced`] with **incremental delivery**: every
-    /// frontier design is handed to `on_point` the moment its verification
-    /// (backend evaluation + interpreted cross-check) completes, before the
-    /// next design is touched. This is how the evaluation service streams
+    /// [`DesignFlow::explore`] with observability and **incremental
+    /// delivery**: the verification run of every frontier design streams its
+    /// events (including any [`TraceEvent::BackendFallback`]) into `sink`,
+    /// and every frontier design is handed to `on_point` the moment its
+    /// verification (backend evaluation + interpreted cross-check)
+    /// completes, before the next design is touched. This is how the evaluation service streams
     /// frontier points to a client as NDJSON progress frames instead of
     /// sitting silent until the whole frontier is verified; the full
     /// [`ExplorationReport`] is still returned at the end.
@@ -617,13 +581,14 @@ impl DesignFlow {
             .iter()
             .map(|point| {
                 let name = format!("frontier t={} on {}", point.time, point.machine);
-                let report = self.evaluate_structure_traced(
+                let report = self.evaluate_structure_faulted(
                     &name,
                     &alg,
                     &point.mapping,
                     &point.interconnect,
                     Some(point.time),
                     sink,
+                    &NoFaults,
                 );
                 let reference = simulate_mapped(&alg, &point.mapping, &point.interconnect);
                 let divergences = report
@@ -919,85 +884,6 @@ impl DesignFlow {
         }
     }
 
-    /// The exhaustive dual-engine single-fault campaign (experiment E17) on
-    /// this flow's matmul, compiling through the flow's shared
-    /// [`CompileCache`]: a campaign after any compiled evaluation of the
-    /// same design is a cache hit, and repeated campaigns never recompile.
-    ///
-    /// # Panics
-    /// Panics unless the flow is an Expansion II matmul (the fault space and
-    /// ABFT checksums are matmul-specific).
-    pub fn single_fault_campaign(
-        &self,
-        design: PaperDesign,
-        seed: u64,
-    ) -> bitlevel_fault::FaultCampaignReport {
-        let (u, p) = self.campaign_shape();
-        bitlevel_fault::single_fault_campaign_with_cache(design, u, p, seed, &self.cache)
-    }
-
-    /// The lane-packed exhaustive single-fault campaign: up to
-    /// [`MAX_LANES`] distinct fault cases per word-wide compiled walk,
-    /// case-for-case identical to [`DesignFlow::single_fault_campaign`]
-    /// (`report.matches_scalar` checks it), sharing the flow's
-    /// [`CompileCache`].
-    ///
-    /// # Panics
-    /// Panics unless the flow is an Expansion II matmul.
-    pub fn batched_single_fault_campaign(
-        &self,
-        design: PaperDesign,
-        seed: u64,
-        width: usize,
-    ) -> bitlevel_fault::BatchedFaultCampaignReport {
-        let (u, p) = self.campaign_shape();
-        bitlevel_fault::batched_single_fault_campaign(design, u, p, seed, width, &self.cache)
-    }
-
-    /// The counts of [`DesignFlow::batched_single_fault_campaign`], from the
-    /// same walks, without the per-case list or the vulnerability map.
-    ///
-    /// # Panics
-    /// Panics unless the flow is an Expansion II matmul.
-    pub fn batched_single_fault_counts(
-        &self,
-        design: PaperDesign,
-        seed: u64,
-        width: usize,
-    ) -> bitlevel_fault::BatchedCampaignCounts {
-        let (u, p) = self.campaign_shape();
-        bitlevel_fault::batched_single_fault_counts(design, u, p, seed, width, &self.cache)
-    }
-
-    /// Seeded Monte Carlo multi-fault campaign through the flow's shared
-    /// [`CompileCache`] (see [`DesignFlow::single_fault_campaign`]), up to
-    /// [`MAX_LANES`] trials per walk on both the interpreted and the
-    /// compiled engine. The report equals the scalar dual-engine
-    /// [`bitlevel_fault::monte_carlo_campaign_with_cache`]'s.
-    ///
-    /// # Panics
-    /// Panics unless the flow is an Expansion II matmul.
-    pub fn monte_carlo_campaign(
-        &self,
-        design: PaperDesign,
-        seed: u64,
-        trials: usize,
-        rate: f64,
-    ) -> bitlevel_fault::MonteCarloReport {
-        let (u, p) = self.campaign_shape();
-        bitlevel_fault::batched_monte_carlo_campaign(design, u, p, seed, trials, rate, &self.cache)
-    }
-
-    fn campaign_shape(&self) -> (usize, usize) {
-        assert_eq!(self.word.dim(), 3, "fault campaigns target matmul flows");
-        assert_eq!(
-            self.expansion,
-            Expansion::II,
-            "fault campaigns run the Expansion II structure"
-        );
-        (self.word.bounds.upper()[0] as usize, self.p)
-    }
-
     /// The one backend-dispatch path every simulating entry point shares.
     ///
     /// Looks the compiled schedule up in the flow's [`CompileCache`] by
@@ -1236,7 +1122,8 @@ mod tests {
         let ic = Interconnect::new(IMat::from_rows(&[&[1, 0], &[0, 1]]));
         let flow = DesignFlow::matmul(2, 2); // default backend: Compiled
         let mut sink = RecordingSink::new();
-        let rep = flow.evaluate_structure_traced("wide", &alg, &t, &ic, None, &mut sink);
+        let rep =
+            flow.evaluate_structure_faulted("wide", &alg, &t, &ic, None, &mut sink, &NoFaults);
         assert!(rep.backend_used.is_fallback(), "{}", rep.backend_used);
         assert!(
             rep.backend_used.to_string().contains("64"),
@@ -1278,8 +1165,9 @@ mod tests {
             let flow = DesignFlow::matmul(2, 2).with_backend(backend);
             let resolved = plan.resolve(&flow.bit_level_structure(), &design.mapping(2));
             let mut sink = RecordingSink::new();
-            let rep = flow.evaluate_faulted(
+            let rep = flow.evaluate_structure_faulted(
                 design.name(),
+                &flow.bit_level_structure(),
                 &design.mapping(2),
                 &design.interconnect(2),
                 Some(7),
@@ -1292,15 +1180,16 @@ mod tests {
             runs.push(rep.run);
         }
         assert_eq!(runs[0].divergences_from(&runs[1]), Vec::<&str>::new());
-        // NoFaults keeps evaluate_faulted bit-identical to evaluate.
+        // NoFaults keeps the faulted evaluation bit-identical to evaluate.
         let flow = DesignFlow::matmul(2, 2);
-        let faultless = flow.evaluate_faulted(
+        let faultless = flow.evaluate_structure_faulted(
             design.name(),
+            &flow.bit_level_structure(),
             &design.mapping(2),
             &design.interconnect(2),
             Some(7),
             &mut NullSink,
-            &bitlevel_systolic::NoFaults,
+            &NoFaults,
         );
         let baseline = flow.evaluate_paper_design(design);
         assert_eq!(
@@ -1315,12 +1204,14 @@ mod tests {
         let flow = DesignFlow::matmul(3, 3);
         let mut sink = RecordingSink::new();
         let design = PaperDesign::TimeOptimal;
-        let rep = flow.evaluate_traced(
+        let rep = flow.evaluate_structure_faulted(
             design.name(),
+            &flow.bit_level_structure(),
             &design.mapping(3),
             &design.interconnect(3),
             Some(13),
             &mut sink,
+            &NoFaults,
         );
         assert_eq!(rep.backend_used, "compiled");
         assert_eq!(sink.rollup().fire_total(), 243); // |J| = u³p²
@@ -1380,7 +1271,9 @@ mod tests {
         let flow = DesignFlow::matmul(2, 2);
         let (family, config) = flow.default_exploration();
         let mut sink = RecordingSink::new();
-        let ex = flow.explore_traced(&family, &config, &mut sink).unwrap();
+        let ex = flow
+            .explore_streamed(&family, &config, &mut sink, |_| {})
+            .unwrap();
         // Every frontier verification fires all |J| = 32 computations.
         assert_eq!(sink.rollup().fire_total(), 32 * ex.designs.len() as u64);
     }
@@ -1732,19 +1625,20 @@ mod tests {
 
     #[test]
     fn every_compiled_entry_point_shares_one_cache_entry() {
-        // evaluate, evaluate_faulted, run_clocked_matmul, evaluate_batch and
-        // verify_matmul_functionally all walk the same Fig. 4 schedule: one
-        // compile serves them all.
+        // evaluate, evaluate_structure_faulted, run_clocked_matmul,
+        // evaluate_batch and verify_matmul_functionally all walk the same
+        // Fig. 4 schedule: one compile serves them all.
         let flow = DesignFlow::matmul(2, 2);
         let design = PaperDesign::TimeOptimal;
         flow.evaluate_paper_design(design);
-        flow.evaluate_faulted(
+        flow.evaluate_structure_faulted(
             design.name(),
+            &flow.bit_level_structure(),
             &design.mapping(2),
             &design.interconnect(2),
             None,
             &mut NullSink,
-            &bitlevel_systolic::NoFaults,
+            &NoFaults,
         );
         flow.run_clocked_matmul(design);
         flow.verify_matmul_functionally();
@@ -1800,19 +1694,23 @@ mod tests {
         let flow = DesignFlow::matmul(2, 2);
         let design = PaperDesign::TimeOptimal;
         let mut sink = RecordingSink::new();
-        flow.evaluate_traced(
+        flow.evaluate_structure_faulted(
             design.name(),
+            &flow.bit_level_structure(),
             &design.mapping(2),
             &design.interconnect(2),
             None,
             &mut sink,
+            &NoFaults,
         );
-        flow.evaluate_traced(
+        flow.evaluate_structure_faulted(
             design.name(),
+            &flow.bit_level_structure(),
             &design.mapping(2),
             &design.interconnect(2),
             None,
             &mut sink,
+            &NoFaults,
         );
         let rollup = sink.rollup();
         assert_eq!(rollup.cache_misses, 1, "first evaluation compiles");
@@ -1828,29 +1726,6 @@ mod tests {
         assert_eq!(keys.len(), 2);
         assert_eq!(keys[0], keys[1]);
         assert_eq!(keys[0].len(), 32, "keys render as 32 hex digits");
-    }
-
-    #[test]
-    fn campaigns_ride_the_flow_cache_and_batched_matches_scalar() {
-        // The campaign compile-cache bypass regression: a scalar campaign,
-        // a batched campaign and a Monte Carlo campaign through one flow
-        // must share a single schedule compile, and the batched sweep must
-        // be case-for-case identical to the scalar one.
-        let flow = DesignFlow::matmul(2, 2);
-        let design = PaperDesign::TimeOptimal;
-        let scalar = flow.single_fault_campaign(design, 0xB17);
-        let batched = flow.batched_single_fault_campaign(design, 0xB17, 64);
-        let mc = flow.monte_carlo_campaign(design, 9, 3, 0.02);
-        assert_eq!(scalar.sdc, 0);
-        assert_eq!(scalar.engine_mismatches, 0);
-        assert!(batched.matches_scalar(&scalar));
-        assert_eq!(batched.walks, scalar.total.div_ceil(64));
-        assert_eq!(mc.trials, 3);
-        assert_eq!(
-            flow.cache().stats().compiles(),
-            1,
-            "all three campaigns share one compile"
-        );
     }
 
     #[test]

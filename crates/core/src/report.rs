@@ -252,12 +252,14 @@ mod tests {
         let flow = DesignFlow::matmul(2, 2);
         let design = PaperDesign::TimeOptimal;
         let mut sink = RecordingSink::new();
-        flow.evaluate_traced(
+        flow.evaluate_structure_faulted(
             design.name(),
+            &flow.bit_level_structure(),
             &design.mapping(2),
             &design.interconnect(2),
             None,
             &mut sink,
+            &bitlevel_systolic::NoFaults,
         );
         let s = render_trace_summary(sink.rollup());
         assert!(s.contains("firings: 32"), "{s}"); // |J| = u³p² = 8·4

@@ -13,8 +13,9 @@
 //!
 //! Two execution strategies cover the exhaustive space:
 //!
-//! * [`single_fault_campaign`] — the dual-engine oracle: every case runs the
-//!   interpreted *and* the compiled engine, one full walk per case;
+//! * [`single_fault_campaign_with_cache`] — the dual-engine oracle: every
+//!   case runs the interpreted *and* the compiled engine, one full walk per
+//!   case ([`single_fault_campaign`] runs it on a throwaway cache);
 //! * [`batched_single_fault_campaign`] — the lane-packed production path:
 //!   up to 64 distinct fault cases ride the bit-lanes of **one** word-wide
 //!   compiled walk, and all lanes of a walk classify in one pass — case-for-case bit-identical to the scalar sweep
@@ -33,8 +34,9 @@
 //! nearly every slot in some lane, so a clean walk first would only add
 //! work.
 //!
-//! All compile through a shared [`CompileCache`], so repeated campaigns on
-//! one design pay for schedule compilation once.
+//! Every driver compiles through the [`CompileCache`] its caller passes, so
+//! repeated campaigns on one design pay for schedule compilation once; the
+//! evaluation service passes its one shared cache.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -321,7 +323,7 @@ impl CampaignRig {
 ///
 /// Compiles through a throwaway [`CompileCache`]; use
 /// [`single_fault_campaign_with_cache`] to share compilation across
-/// campaigns (the `DesignFlow` pipeline does).
+/// campaigns (the evaluation service does).
 pub fn single_fault_campaign(
     design: PaperDesign,
     u: usize,
@@ -433,23 +435,62 @@ pub struct MonteCarloReport {
     pub details: Vec<MonteCarloTrial>,
 }
 
+impl MonteCarloReport {
+    /// The report of a campaign's `details`, one per trial in order.
+    fn tally(
+        design: PaperDesign,
+        u: usize,
+        p: usize,
+        seed: u64,
+        rate: f64,
+        details: Vec<MonteCarloTrial>,
+    ) -> Self {
+        let trials = details.len();
+        let count = |o: FaultOutcome| details.iter().filter(|d| d.interpreted == o).count();
+        MonteCarloReport {
+            design: format!("{design:?}"),
+            u,
+            p,
+            seed,
+            rate,
+            trials,
+            masked: count(FaultOutcome::Masked),
+            detected: count(FaultOutcome::Detected),
+            sdc: count(FaultOutcome::Sdc),
+            engine_mismatches: details
+                .iter()
+                .filter(|d| d.interpreted != d.compiled)
+                .count(),
+            mean_injected: if trials == 0 {
+                0.0
+            } else {
+                details.iter().map(|d| d.injected).sum::<usize>() as f64 / trials as f64
+            },
+            details,
+        }
+    }
+}
+
+/// The plan of Monte Carlo trial `trial`: one transient flip per signal bit,
+/// sampled at `rate` across every index point, seeded `seed + trial`.
+fn trial_plan(seed: u64, trial: usize, rate: f64) -> FaultPlan {
+    FaultPlan {
+        seed: seed.wrapping_add(trial as u64),
+        targeted: vec![],
+        random: (0..MatmulSignals::fault_bits())
+            .map(|bit| RandomFault {
+                kind: FaultKind::TransientFlip { bit },
+                rate,
+            })
+            .collect(),
+    }
+}
+
 /// Seeded Monte Carlo: each trial samples one transient flip per signal
 /// bit at `rate` across every index point, runs both engines, and
 /// classifies. Multi-fault cancellation means `sdc` may be nonzero here —
-/// it is measured, not asserted.
-pub fn monte_carlo_campaign(
-    design: PaperDesign,
-    u: usize,
-    p: usize,
-    seed: u64,
-    trials: usize,
-    rate: f64,
-) -> MonteCarloReport {
-    monte_carlo_campaign_with_cache(design, u, p, seed, trials, rate, &CompileCache::new())
-}
-
-/// [`monte_carlo_campaign`] compiling through a caller-supplied
-/// [`CompileCache`] (see [`single_fault_campaign_with_cache`]).
+/// it is measured, not asserted. The schedule compiles through `cache`
+/// (see [`single_fault_campaign_with_cache`]).
 pub fn monte_carlo_campaign_with_cache(
     design: PaperDesign,
     u: usize,
@@ -460,48 +501,19 @@ pub fn monte_carlo_campaign_with_cache(
     cache: &CompileCache,
 ) -> MonteCarloReport {
     let mut rig = CampaignRig::new(design, u, p, seed, cache);
-    let mut details = Vec::with_capacity(trials);
-    for trial in 0..trials {
-        let plan = FaultPlan {
-            seed: seed.wrapping_add(trial as u64),
-            targeted: vec![],
-            random: (0..MatmulSignals::fault_bits())
-                .map(|bit| RandomFault {
-                    kind: FaultKind::TransientFlip { bit },
-                    rate,
-                })
-                .collect(),
-        };
-        let (interpreted, compiled, injected) = rig.classify_both(&plan);
-        details.push(MonteCarloTrial {
-            seed: plan.seed,
-            injected,
-            interpreted,
-            compiled,
-        });
-    }
-    let count = |o: FaultOutcome| details.iter().filter(|d| d.interpreted == o).count();
-    MonteCarloReport {
-        design: format!("{design:?}"),
-        u,
-        p,
-        seed,
-        rate,
-        trials,
-        masked: count(FaultOutcome::Masked),
-        detected: count(FaultOutcome::Detected),
-        sdc: count(FaultOutcome::Sdc),
-        engine_mismatches: details
-            .iter()
-            .filter(|d| d.interpreted != d.compiled)
-            .count(),
-        mean_injected: if trials == 0 {
-            0.0
-        } else {
-            details.iter().map(|d| d.injected).sum::<usize>() as f64 / trials as f64
-        },
-        details,
-    }
+    let details = (0..trials)
+        .map(|trial| {
+            let plan = trial_plan(seed, trial, rate);
+            let (interpreted, compiled, injected) = rig.classify_both(&plan);
+            MonteCarloTrial {
+                seed: plan.seed,
+                injected,
+                interpreted,
+                compiled,
+            }
+        })
+        .collect();
+    MonteCarloReport::tally(design, u, p, seed, rate, details)
 }
 
 /// [`monte_carlo_campaign_with_cache`] run lane-packed, returning an equal
@@ -524,16 +536,7 @@ pub fn batched_monte_carlo_campaign(
 ) -> MonteCarloReport {
     let rig = CampaignRig::new(design, u, p, seed, cache);
     let plans: Vec<FaultPlan> = (0..trials)
-        .map(|trial| FaultPlan {
-            seed: seed.wrapping_add(trial as u64),
-            targeted: vec![],
-            random: (0..MatmulSignals::fault_bits())
-                .map(|bit| RandomFault {
-                    kind: FaultKind::TransientFlip { bit },
-                    rate,
-                })
-                .collect(),
-        })
+        .map(|trial| trial_plan(seed, trial, rate))
         .collect();
     let mut details = Vec::with_capacity(trials);
     for chunk in plans.chunks(MAX_LANES) {
@@ -553,28 +556,7 @@ pub fn batched_monte_carlo_campaign(
             });
         }
     }
-    let count = |o: FaultOutcome| details.iter().filter(|d| d.interpreted == o).count();
-    MonteCarloReport {
-        design: format!("{design:?}"),
-        u,
-        p,
-        seed,
-        rate,
-        trials,
-        masked: count(FaultOutcome::Masked),
-        detected: count(FaultOutcome::Detected),
-        sdc: count(FaultOutcome::Sdc),
-        engine_mismatches: details
-            .iter()
-            .filter(|d| d.interpreted != d.compiled)
-            .count(),
-        mean_injected: if trials == 0 {
-            0.0
-        } else {
-            details.iter().map(|d| d.injected).sum::<usize>() as f64 / trials as f64
-        },
-        details,
-    }
+    MonteCarloReport::tally(design, u, p, seed, rate, details)
 }
 
 /// One case of a lane-packed exhaustive sweep: where its fault hit, which
@@ -918,19 +900,36 @@ mod tests {
 
     #[test]
     fn campaigns_share_one_compile_through_the_cache() {
-        // The campaign.rs:171 bypass regression: a scalar campaign, a
-        // batched campaign and a Monte Carlo campaign on one design must
-        // compile the schedule exactly once when handed the same cache.
+        // The compile-cache bypass regression: every campaign driver on one
+        // design — scalar, batched, counts-only, and both Monte Carlo
+        // forms — must compile the schedule exactly once when handed the
+        // same cache, and the batched sweep must be case-for-case identical
+        // to the scalar one.
         let cache = CompileCache::new();
         let design = PaperDesign::TimeOptimal;
         let scalar = single_fault_campaign_with_cache(design, 2, 2, 0xB17, &cache);
         let batched = batched_single_fault_campaign(design, 2, 2, 0xB17, 64, &cache);
+        let counts = batched_single_fault_counts(design, 2, 2, 0xB17, 64, &cache);
         let mc = monte_carlo_campaign_with_cache(design, 2, 2, 9, 4, 0.02, &cache);
-        assert_eq!(scalar.total, batched.total);
+        let lane_mc = batched_monte_carlo_campaign(design, 2, 2, 9, 4, 0.02, &cache);
+        assert_eq!(scalar.sdc, 0);
+        assert_eq!(scalar.engine_mismatches, 0);
+        assert!(batched.matches_scalar(&scalar));
+        assert_eq!(batched.walks, scalar.total.div_ceil(64));
+        assert_eq!(
+            (counts.total, counts.walks, counts.masked, counts.detected),
+            (
+                batched.total,
+                batched.walks,
+                batched.masked,
+                batched.detected
+            )
+        );
         assert_eq!(mc.trials, 4);
+        assert_eq!(lane_mc, mc);
         let stats = cache.stats();
         assert_eq!(stats.compiles(), 1, "one design, one compile");
-        assert_eq!(stats.hits, 2, "batched + monte carlo both hit");
+        assert_eq!(stats.hits, 4, "every campaign after the first hits");
     }
 
     #[test]
@@ -946,8 +945,11 @@ mod tests {
 
     #[test]
     fn monte_carlo_is_deterministic_and_partitions() {
-        let a = monte_carlo_campaign(PaperDesign::TimeOptimal, 2, 2, 9, 12, 0.02);
-        let b = monte_carlo_campaign(PaperDesign::TimeOptimal, 2, 2, 9, 12, 0.02);
+        let run = || {
+            let cache = CompileCache::new();
+            monte_carlo_campaign_with_cache(PaperDesign::TimeOptimal, 2, 2, 9, 12, 0.02, &cache)
+        };
+        let (a, b) = (run(), run());
         assert_eq!(a.masked + a.detected + a.sdc, a.trials);
         assert_eq!(a.masked, b.masked);
         assert_eq!(a.detected, b.detected);

@@ -34,10 +34,9 @@ pub mod plan;
 pub use abft::{checksum_modulus, FaultOutcome, MatmulChecksums, SyndromeSet};
 pub use campaign::{
     batched_monte_carlo_campaign, batched_single_fault_campaign, batched_single_fault_counts,
-    matmul_structure, monte_carlo_campaign, monte_carlo_campaign_with_cache, operand_matrices,
-    single_fault_campaign, single_fault_campaign_with_cache, BatchedCampaignCounts,
-    BatchedFaultCampaignReport, BatchedFaultCase, FaultCampaignReport, FaultCase, MonteCarloReport,
-    MonteCarloTrial,
+    matmul_structure, monte_carlo_campaign_with_cache, operand_matrices, single_fault_campaign,
+    single_fault_campaign_with_cache, BatchedCampaignCounts, BatchedFaultCampaignReport,
+    BatchedFaultCase, FaultCampaignReport, FaultCase, MonteCarloReport, MonteCarloTrial,
 };
 pub use plan::{
     FaultKind, FaultPlan, RandomFault, ResolvedFault, ResolvedFaultPlan, TargetedFault,

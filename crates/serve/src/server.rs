@@ -13,9 +13,9 @@
 //! (TCP backlog becomes the second-level backpressure). Each worker owns one
 //! connection at a time and services its requests strictly in order, so a
 //! request's progress frames never interleave with another's. Every handler
-//! builds its `DesignFlow` around the server's single [`CompileCache`]
-//! (single-flight inside the cache makes N concurrent identical misses cost
-//! one compile), and cache attribution per request is reported in a
+//! compiles through the server's single [`CompileCache`] (single-flight
+//! inside the cache makes N concurrent identical misses cost one compile),
+//! and cache attribution per request is reported in a
 //! *progress* frame so the terminal result frame stays bit-identical across
 //! identical requests regardless of cache temperature.
 //!
@@ -32,6 +32,9 @@ use crate::protocol::{
 };
 use bitlevel_cache::{CacheStats, CompileCache};
 use bitlevel_core::{ArchitectureReport, DesignFlow};
+use bitlevel_fault::{
+    batched_monte_carlo_campaign, batched_single_fault_counts, single_fault_campaign_with_cache,
+};
 use bitlevel_json::Json;
 use bitlevel_systolic::{NullSink, SimBackend};
 use std::collections::VecDeque;
@@ -617,11 +620,11 @@ fn handle_campaign(
     if deadline.expired() {
         return Err(deadline.timeout_error("fault-campaign"));
     }
-    let flow = flow_for(state, u, p, SimBackend::Compiled)?;
-    let paper = design.to_design();
+    // The decoder bounds `u` to `1..=MAX_U`, so the cast is exact.
+    let (u, paper, cache) = (u as usize, design.to_design(), &state.cache);
     match mode {
         CampaignMode::Single { seed } => {
-            let rep = flow.single_fault_campaign(paper, seed);
+            let rep = single_fault_campaign_with_cache(paper, u, p, seed, cache);
             ctx.progress(Json::obj(vec![
                 ("stage", Json::str("campaign")),
                 ("cases", Json::from(rep.total)),
@@ -642,7 +645,7 @@ fn handle_campaign(
             ]))
         }
         CampaignMode::Batched { seed, width } => {
-            let counts = flow.batched_single_fault_counts(paper, seed, width);
+            let counts = batched_single_fault_counts(paper, u, p, seed, width, cache);
             ctx.progress(Json::obj(vec![
                 ("stage", Json::str("campaign")),
                 ("cases", Json::from(counts.total)),
@@ -676,7 +679,7 @@ fn handle_campaign(
                     return Err(deadline.timeout_error("monte-carlo-chunk"));
                 }
                 let n = MC_CHUNK.min(trials - done);
-                let rep = flow.monte_carlo_campaign(paper, seed + chunks, n, rate);
+                let rep = batched_monte_carlo_campaign(paper, u, p, seed + chunks, n, rate, cache);
                 done += n;
                 masked += rep.masked;
                 detected += rep.detected;

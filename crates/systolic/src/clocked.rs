@@ -13,6 +13,11 @@
 //! The engine is generic over [`CellSemantics`]; [`MatmulExpansionIICells`]
 //! implements the full-adder/wide-adder semantics of the Expansion II matmul
 //! structure (3.12), matching [`crate::bit_array::BitMatmulArray`] exactly.
+//!
+//! [`run_clocked`] is the plain run. [`run_clocked_faulted`] is the general
+//! form: it also takes a [`TraceSink`] and a [`FaultInjector`], and with
+//! [`NullSink`] and [`NoFaults`] it is the plain run. [`run_clocked_batch`]
+//! runs lane-packed cells on the same engine.
 
 use crate::batch::{BatchRun, LaneCellSemantics, Wordwise};
 use crate::fault::{FaultInjector, NoFaults, TransferFault};
@@ -174,32 +179,19 @@ pub fn run_clocked<S: CellSemantics>(
     ic: &Interconnect,
     semantics: &mut S,
 ) -> ClockedRun<S::Bundle> {
-    run_clocked_traced(alg, t, ic, semantics, &mut NullSink)
+    run_clocked_faulted(alg, t, ic, semantics, &mut NullSink, &NoFaults)
 }
 
 /// [`run_clocked`] with a [`TraceSink`] observing every route, fire, token
-/// and violation. With [`NullSink`] the emission guards compile away and
-/// this *is* [`run_clocked`]; the compiled engine
-/// ([`crate::compiled::CompiledSchedule::execute_traced`]) reconstructs the
-/// identical event stream.
-pub fn run_clocked_traced<S: CellSemantics, K: TraceSink>(
-    alg: &AlgorithmTriplet,
-    t: &MappingMatrix,
-    ic: &Interconnect,
-    semantics: &mut S,
-    sink: &mut K,
-) -> ClockedRun<S::Bundle> {
-    run_clocked_faulted(alg, t, ic, semantics, sink, &NoFaults)
-}
-
-/// [`run_clocked_traced`] with a [`FaultInjector`] perturbing the run:
-/// transfer faults apply at token consumption (a dropped transfer skips the
+/// and violation, and a [`FaultInjector`] perturbing the run: transfer
+/// faults apply at token consumption (a dropped transfer skips the
 /// consumption bookkeeping entirely; a duplicate re-delivers the previous
 /// token of the same edge class), output faults mutate the just-computed
-/// bundle before it launches. With [`NoFaults`] every fault branch compiles
-/// away and this *is* [`run_clocked_traced`]; the compiled backend
+/// bundle before it launches. With [`NullSink`] and [`NoFaults`] every
+/// emission guard and fault branch compiles away and this *is*
+/// [`run_clocked`]; the compiled backend
 /// ([`crate::compiled::CompiledSchedule::execute_faulted`]) reproduces the
-/// identical faulted run bit for bit.
+/// identical run and event stream bit for bit.
 pub fn run_clocked_faulted<S, K, F>(
     alg: &AlgorithmTriplet,
     t: &MappingMatrix,
@@ -516,7 +508,7 @@ pub struct MatmulSignals {
 /// identical arithmetic to [`crate::bit_array::BitMatmulArray`], but driven
 /// by the clocked engine instead of a topological sweep.
 ///
-/// Dependence column order must be the [`bitlevel-depanal`]-composed order:
+/// Dependence column order must be the `bitlevel-depanal`-composed order:
 /// `x (d̄₁), y (d̄₂), z (d̄₃), x (d̄₄), y,c (d̄₅), z (d̄₆), c' (d̄₇)`.
 pub struct MatmulExpansionIICells {
     u: usize,

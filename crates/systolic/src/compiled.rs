@@ -34,9 +34,12 @@
 //!   pass depends on `(J, D, T, P)` alone: the first such walk stores its
 //!   result on the schedule and every later one reuses it.
 //!
-//! [`run_clocked_compiled`] and [`simulate_mapped_compiled`] are drop-in
-//! counterparts of the interpreted entry points; [`SimBackend`] selects
-//! between the two across the [`bitlevel-core`] design flow and benches.
+//! [`CompiledSchedule::execute`] and [`CompiledSchedule::mapped_report`] are
+//! drop-in counterparts of [`crate::clocked::run_clocked`] and
+//! [`crate::mapped::simulate_mapped`]; each `_faulted` form takes a
+//! [`TraceSink`] and a [`FaultInjector`], like its interpreted counterpart.
+//! [`SimBackend`] selects between the engines across the `bitlevel-core`
+//! design flow and benches.
 
 use crate::batch::{BatchRun, GoldenBatch, LaneCellSemantics, Slots, Wordwise};
 use crate::clocked::{ClockedRun, ClockedViolation, SyncCellSemantics};
@@ -666,27 +669,18 @@ impl CompiledSchedule {
     /// [`ClockedRun`] bit-identical to [`crate::clocked::run_clocked`] —
     /// outputs, violations (same order), cycle count and `peak_in_flight`.
     pub fn execute<S: SyncCellSemantics>(&self, semantics: &S) -> ClockedRun<S::Bundle> {
-        self.execute_traced(semantics, &mut NullSink)
+        self.execute_faulted(semantics, &mut NullSink, &NoFaults)
     }
 
-    /// [`CompiledSchedule::execute`] with a [`TraceSink`]. Events are
-    /// reconstructed by the bookkeeping pass after the value phase, and the
-    /// emitted stream is **identical**
-    /// to [`crate::clocked::run_clocked_traced`]'s on the same inputs. With
-    /// [`NullSink`] the guards compile away and this *is* `execute`.
-    pub fn execute_traced<S: SyncCellSemantics, K: TraceSink>(
-        &self,
-        semantics: &S,
-        sink: &mut K,
-    ) -> ClockedRun<S::Bundle> {
-        self.execute_faulted(semantics, sink, &NoFaults)
-    }
-
-    /// [`CompiledSchedule::execute_traced`] with a [`FaultInjector`] — the
-    /// compiled counterpart of [`crate::clocked::run_clocked_faulted`],
-    /// bit-identical to it under the same injector: faulted gathers see
-    /// arena mutations in the interpreted engine's order. [`NoFaults`]
-    /// compiles every fault branch away, making this *is* `execute_traced`.
+    /// [`CompiledSchedule::execute`] with a [`TraceSink`] and a
+    /// [`FaultInjector`] — the compiled counterpart of
+    /// [`crate::clocked::run_clocked_faulted`], bit-identical to it under the
+    /// same injector: faulted gathers see arena mutations in the interpreted
+    /// engine's order. Events are reconstructed by the bookkeeping pass
+    /// after the value phase, and the emitted stream is **identical** to the
+    /// interpreted engine's on the same inputs. With [`NullSink`] and
+    /// [`NoFaults`] every guard and fault branch compiles away, so this *is*
+    /// `execute`.
     pub fn execute_faulted<S, K, F>(
         &self,
         semantics: &S,
@@ -987,8 +981,9 @@ impl CompiledSchedule {
 
     /// [`CompiledSchedule::execute_batch`] with a [`TraceSink`] observing
     /// the (lane-shared) schedule walk: routes, fires, token movements and
-    /// violations — the same stream as [`CompiledSchedule::execute_traced`],
-    /// since none of those events depend on token values.
+    /// violations — the same stream as a traced
+    /// [`CompiledSchedule::execute_faulted`] under [`NoFaults`], since none
+    /// of those events depend on token values.
     pub fn execute_batch_traced<L, K>(&self, lanes: &L, sink: &mut K) -> BatchRun<L::Packed>
     where
         L: LaneCellSemantics,
@@ -1013,21 +1008,16 @@ impl CompiledSchedule {
     /// conflicts from per-cycle processor-id scans, causality and traffic
     /// from the per-column routes and active-instance counts.
     pub fn mapped_report(&self) -> MappedRunReport {
-        self.mapped_report_traced(&mut NullSink)
+        self.mapped_report_faulted(&mut NullSink, &NoFaults)
     }
 
-    /// [`CompiledSchedule::mapped_report`] with a [`TraceSink`]. Emits the
-    /// same rollup counters as [`crate::mapped::simulate_mapped_traced`]
-    /// (fires, wavefront, per-PE loads, violation counts); events come out
-    /// cycle-major rather than in lexicographic point order.
-    pub fn mapped_report_traced<K: TraceSink>(&self, sink: &mut K) -> MappedRunReport {
-        self.mapped_report_faulted(sink, &NoFaults)
-    }
-
-    /// [`CompiledSchedule::mapped_report_traced`] with a [`FaultInjector`]
-    /// (over the unit bundle, like
+    /// [`CompiledSchedule::mapped_report`] with a [`TraceSink`] and a
+    /// [`FaultInjector`] (over the unit bundle, like
     /// [`crate::mapped::simulate_mapped_faulted`], whose report this matches
-    /// bit for bit). One cycle-major pass counts fires, conflicts and busy
+    /// bit for bit). A sink sees the same rollup counters as the interpreted
+    /// engine's (fires, wavefront, per-PE loads, violation counts); events
+    /// come out cycle-major rather than in lexicographic point order. One
+    /// cycle-major pass counts fires, conflicts and busy
     /// PEs and emits the events. Transfers per column are counted point by
     /// point only under a live injector — dead PEs, drops and duplicates
     /// make the instances of one column differ — and are the compiled
@@ -1204,29 +1194,6 @@ impl CompiledSchedule {
     }
 }
 
-/// Compiles and executes in one call — the drop-in counterpart of
-/// [`crate::clocked::run_clocked`] for pure cell semantics. For repeated runs
-/// of one architecture, build the [`CompiledSchedule`] once and call
-/// [`CompiledSchedule::execute`] per workload.
-pub fn run_clocked_compiled<S: SyncCellSemantics>(
-    alg: &AlgorithmTriplet,
-    t: &MappingMatrix,
-    ic: &Interconnect,
-    semantics: &S,
-) -> ClockedRun<S::Bundle> {
-    CompiledSchedule::compile(alg, t, ic).execute(semantics)
-}
-
-/// Compiled counterpart of [`crate::mapped::simulate_mapped`]: identical
-/// report, computed from the dense-slot schedule.
-pub fn simulate_mapped_compiled(
-    alg: &AlgorithmTriplet,
-    t: &MappingMatrix,
-    ic: &Interconnect,
-) -> MappedRunReport {
-    CompiledSchedule::compile(alg, t, ic).mapped_report()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1305,7 +1272,7 @@ mod tests {
                 let ic = design.interconnect(p as i64);
                 let mut cells = MatmulExpansionIICells::new(u, p, &x, &y);
                 let interpreted = run_clocked(&alg, &t, &ic, &mut cells);
-                let compiled = run_clocked_compiled(&alg, &t, &ic, &cells);
+                let compiled = CompiledSchedule::compile(&alg, &t, &ic).execute(&cells);
                 assert_runs_identical(&compiled, &interpreted);
                 assert!(compiled.is_legal());
                 let z = cells.extract_product(&compiled);
@@ -1346,7 +1313,7 @@ mod tests {
         let (x, y) = mats(u, p);
         let mut cells = MatmulExpansionIICells::new(u, p, &x, &y);
         let interpreted = run_clocked(&alg, &t, &ic, &mut cells);
-        let compiled = run_clocked_compiled(&alg, &t, &ic, &cells);
+        let compiled = CompiledSchedule::compile(&alg, &t, &ic).execute(&cells);
         assert!(!compiled.is_legal());
         assert_runs_identical(&compiled, &interpreted);
     }
@@ -1363,7 +1330,7 @@ mod tests {
         let (x, y) = mats(u, p);
         let mut cells = MatmulExpansionIICells::new(u, p, &x, &y);
         let interpreted = run_clocked(&alg, &t, &ic, &mut cells);
-        let compiled = run_clocked_compiled(&alg, &t, &ic, &cells);
+        let compiled = CompiledSchedule::compile(&alg, &t, &ic).execute(&cells);
         assert!(compiled
             .violations
             .iter()
@@ -1401,7 +1368,7 @@ mod tests {
                 let t = design.mapping(p);
                 let ic = design.interconnect(p);
                 assert_reports_identical(
-                    &simulate_mapped_compiled(&alg, &t, &ic),
+                    &CompiledSchedule::compile(&alg, &t, &ic).mapped_report(),
                     &simulate_mapped(&alg, &t, &ic),
                 );
             }
@@ -1417,13 +1384,13 @@ mod tests {
             IVec::from([1, 1, 1, 2, 1]),
         );
         assert_reports_identical(
-            &simulate_mapped_compiled(&alg, &t, &Interconnect::paper_p(2)),
+            &CompiledSchedule::compile(&alg, &t, &Interconnect::paper_p(2)).mapped_report(),
             &simulate_mapped(&alg, &t, &Interconnect::paper_p(2)),
         );
         // Causality-violating machine.
         let t = PaperDesign::TimeOptimal.mapping(2);
         assert_reports_identical(
-            &simulate_mapped_compiled(&alg, &t, &Interconnect::paper_p_prime()),
+            &CompiledSchedule::compile(&alg, &t, &Interconnect::paper_p_prime()).mapped_report(),
             &simulate_mapped(&alg, &t, &Interconnect::paper_p_prime()),
         );
     }
@@ -1517,7 +1484,7 @@ mod tests {
 
     #[test]
     fn traced_mapped_report_matches_interpreted_rollup() {
-        use crate::mapped::simulate_mapped_traced;
+        use crate::mapped::simulate_mapped_faulted;
         use crate::trace::RecordingSink;
         let alg = matmul_structure(3, 3);
         // A legal design and a broken one (conflicts + unroutable columns).
@@ -1540,9 +1507,10 @@ mod tests {
         ];
         for (t, ic) in &designs {
             let mut interp = RecordingSink::new();
-            let a = simulate_mapped_traced(&alg, t, ic, &mut interp);
+            let a = simulate_mapped_faulted(&alg, t, ic, &mut interp, &NoFaults);
             let mut comp = RecordingSink::new();
-            let b = CompiledSchedule::compile(&alg, t, ic).mapped_report_traced(&mut comp);
+            let b =
+                CompiledSchedule::compile(&alg, t, ic).mapped_report_faulted(&mut comp, &NoFaults);
             assert_eq!(a.cycles, b.cycles);
             let (ri, rc) = (interp.rollup(), comp.rollup());
             assert_eq!(ri.fire_total(), rc.fire_total());
@@ -1565,7 +1533,7 @@ mod tests {
         let cells = MatmulExpansionIICells::new(u, p, &x, &y);
         let untraced = sched.execute(&cells);
         let mut sink = RecordingSink::new();
-        let traced = sched.execute_traced(&cells, &mut sink);
+        let traced = sched.execute_faulted(&cells, &mut sink, &NoFaults);
         assert_runs_identical(&traced, &untraced);
         assert_eq!(
             sink.rollup().fire_total() as u128,
@@ -1951,7 +1919,7 @@ mod tests {
         let (x, y) = mats(u, p);
         let cells = MatmulExpansionIICells::new(u, p, &x, &y);
         let sched = compile();
-        let traced = sched.execute_traced(&cells, &mut RecordingSink::new());
+        let traced = sched.execute_faulted(&cells, &mut RecordingSink::new(), &NoFaults);
         assert!(!traced.violations.is_empty());
         let faulted = sched.execute_faulted(&cells, &mut NullSink, &DropColumnZero);
         assert_ne!(faulted.peak_in_flight, traced.peak_in_flight);
@@ -1983,7 +1951,7 @@ mod tests {
         planted.bookkeeping.0.set(bogus).expect("empty");
         let run = planted.execute(&cells);
         assert!(run.violations.is_empty() && run.peak_in_flight[0] == u64::MAX);
-        let run = planted.execute_traced(&cells, &mut RecordingSink::new());
+        let run = planted.execute_faulted(&cells, &mut RecordingSink::new(), &NoFaults);
         assert_runs_identical(&run, &traced);
         let run = planted.execute_faulted(&cells, &mut NullSink, &DropColumnZero);
         assert_runs_identical(&run, &faulted);

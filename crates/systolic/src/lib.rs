@@ -56,19 +56,16 @@ pub use batch::{
 };
 pub use bit_array::{BitMatmulArray, BitMatmulRun};
 pub use clocked::{
-    run_clocked, run_clocked_batch, run_clocked_faulted, run_clocked_traced, CellSemantics,
-    ClockedRun, ClockedViolation, MatmulExpansionIICells, MatmulSignals, SyncCellSemantics,
+    run_clocked, run_clocked_batch, run_clocked_faulted, CellSemantics, ClockedRun,
+    ClockedViolation, MatmulExpansionIICells, MatmulSignals, SyncCellSemantics,
 };
-pub use compiled::{
-    run_clocked_compiled, simulate_mapped_compiled, BackendConfigError, CompileError,
-    CompiledSchedule, SimBackend,
-};
+pub use compiled::{BackendConfigError, CompileError, CompiledSchedule, SimBackend};
 pub use expansion_i::{DroppedCarry, ExpansionIMatmul, ExpansionIRun};
 pub use expansion_i_clocked::MatmulExpansionICells;
 pub use fault::{FaultInjector, FaultableBundle, NoFaults, TransferFault};
 pub use mapped::{
     asap_depths, critical_path, fanin_histogram, mean_producer_depth, simulate_mapped,
-    simulate_mapped_faulted, simulate_mapped_traced, MappedRunReport,
+    simulate_mapped_faulted, MappedRunReport,
 };
 pub use model35::{ColumnMap, ColumnMapError, Model35Cells, Model35LaneCells};
 pub use partition::{PartitionError, PartitionStats, PartitionedSchedule};

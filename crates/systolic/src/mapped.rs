@@ -13,6 +13,10 @@
 //! * **processor count and utilisation**;
 //! * **link traffic** per interconnection primitive.
 //!
+//! [`simulate_mapped`] is the plain run; [`simulate_mapped_faulted`] also
+//! takes a [`TraceSink`] and a [`FaultInjector`], and with [`NullSink`] and
+//! [`NoFaults`] it is the plain run.
+//!
 //! It also provides mapping-independent structure metrics used by experiment
 //! E9: the **critical path** of the dependence DAG (a lower bound on any
 //! schedule) and the **fan-in histogram** ("in Expansion II, four or five
@@ -105,29 +109,18 @@ pub fn simulate_mapped(
     t: &MappingMatrix,
     ic: &Interconnect,
 ) -> MappedRunReport {
-    simulate_mapped_traced(alg, t, ic, &mut NullSink)
+    simulate_mapped_faulted(alg, t, ic, &mut NullSink, &NoFaults)
 }
 
 /// [`simulate_mapped`] with a [`TraceSink`] observing routes, fires and
-/// violations. With [`NullSink`] the guards compile away; the compiled
-/// counterpart is [`crate::compiled::CompiledSchedule::mapped_report_traced`]
-/// (same rollup counters, cycle-major event order).
-pub fn simulate_mapped_traced<K: TraceSink>(
-    alg: &AlgorithmTriplet,
-    t: &MappingMatrix,
-    ic: &Interconnect,
-    sink: &mut K,
-) -> MappedRunReport {
-    simulate_mapped_faulted(alg, t, ic, sink, &NoFaults)
-}
-
-/// [`simulate_mapped_traced`] with a [`FaultInjector`] (over the unit bundle
-/// `()` — the timing simulator carries no values): dead PEs keep their place
-/// in the array (they occupy a processor and can still conflict) but execute
+/// violations, and a [`FaultInjector`] (over the unit bundle `()` — the
+/// timing simulator carries no values): dead PEs keep their place in the
+/// array (they occupy a processor and can still conflict) but execute
 /// nothing, dropped transfers shed their link traffic, duplicated transfers
-/// pay it twice. With [`NoFaults`] the fault branches compile away and this
-/// *is* [`simulate_mapped_traced`]; the compiled counterpart is
-/// [`crate::compiled::CompiledSchedule::mapped_report_faulted`].
+/// pay it twice. With [`NullSink`] and [`NoFaults`] the guards and fault
+/// branches compile away and this *is* [`simulate_mapped`]; the compiled
+/// counterpart is [`crate::compiled::CompiledSchedule::mapped_report_faulted`]
+/// (same report and rollup counters, cycle-major event order).
 pub fn simulate_mapped_faulted<K: TraceSink, F: FaultInjector<()>>(
     alg: &AlgorithmTriplet,
     t: &MappingMatrix,

@@ -29,6 +29,7 @@
 //! compiled engine's and the interpreted oracle's.
 
 use crate::compiled::{CompiledSchedule, NO_SLOT};
+use crate::fault::NoFaults;
 use crate::mapped::MappedRunReport;
 use crate::trace::TraceSink;
 use std::fmt;
@@ -223,9 +224,9 @@ impl PartitionedSchedule {
     }
 
     /// Timing-only mapped report — value-independent, so it delegates to
-    /// [`CompiledSchedule::mapped_report_traced`] unchanged.
+    /// [`CompiledSchedule::mapped_report_faulted`] without faults.
     pub fn mapped_report_traced<K: TraceSink>(&self, sink: &mut K) -> MappedRunReport {
-        self.sched.mapped_report_traced(sink)
+        self.sched.mapped_report_faulted(sink, &NoFaults)
     }
 }
 

@@ -3,10 +3,13 @@
 //! The paper's architecture claims are about *measured* behaviour — execution
 //! time (4.5)/(4.8), PE counts, link usage — and this module makes the
 //! measurements observable per cycle instead of only as end-of-run
-//! aggregates. Every engine ([`crate::clocked::run_clocked_traced`],
-//! [`crate::mapped::simulate_mapped_traced`],
-//! [`crate::compiled::CompiledSchedule::execute_traced`]) emits
-//! [`TraceEvent`]s into a caller-chosen [`TraceSink`]:
+//! aggregates. Every engine's general entry point
+//! ([`crate::clocked::run_clocked_faulted`],
+//! [`crate::mapped::simulate_mapped_faulted`],
+//! [`crate::compiled::CompiledSchedule::execute_faulted`] and
+//! [`crate::compiled::CompiledSchedule::mapped_report_faulted`], each with
+//! [`crate::fault::NoFaults`] for a clean run) emits [`TraceEvent`]s into a
+//! caller-chosen [`TraceSink`]:
 //!
 //! * [`NullSink`] — the default, statically zero-overhead: its
 //!   `ENABLED = false` associated constant lets the emission guards

@@ -17,7 +17,7 @@ use bitlevel::depanal::{compose, Expansion};
 use bitlevel::systolic::{
     render_activity_profile, render_block_structure, render_gantt, render_links,
     render_processor_grid, render_trace_pe_load, render_trace_wavefront, run_clocked,
-    CompiledSchedule, MatmulExpansionIICells, RecordingSink,
+    CompiledSchedule, MatmulExpansionIICells, NoFaults, RecordingSink,
 };
 use bitlevel::{BitMatmulArray, PaperDesign, WordLevelAlgorithm};
 
@@ -61,7 +61,7 @@ fn main() {
     let sched = CompiledSchedule::try_compile(&alg, &mapping, &machine)
         .expect("the 7-column matmul structure compiles");
     let mut sink = RecordingSink::new();
-    let compiled = sched.execute_traced(&cells, &mut sink);
+    let compiled = sched.execute_faulted(&cells, &mut sink, &NoFaults);
     assert_eq!(compiled.cycles, run.cycles);
     assert_eq!(compiled.violations, run.violations);
     assert_eq!(compiled.peak_in_flight, run.peak_in_flight);

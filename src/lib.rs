@@ -43,10 +43,9 @@ pub use bitlevel_systolic as systolic;
 
 pub use bitlevel_core::{
     batched_single_fault_campaign, check_feasibility, compare_analyses, compose, expand, explore,
-    find_optimal_schedule, generate_space_family, monte_carlo_campaign,
-    monte_carlo_campaign_with_cache, render_architecture, render_frontier,
-    render_matmul_comparison, render_structure, render_trace_summary, run_clocked_compiled,
-    schedule_key, simulate_mapped, simulate_mapped_compiled, single_fault_campaign,
+    find_optimal_schedule, generate_space_family, monte_carlo_campaign_with_cache,
+    render_architecture, render_frontier, render_matmul_comparison, render_structure,
+    render_trace_summary, schedule_key, simulate_mapped, single_fault_campaign,
     single_fault_campaign_with_cache, AddShift, AlgorithmTriplet, ArchitectureReport,
     BackendConfigError, BackendUsed, BatchRunReport, BatchedFaultCampaignReport, BatchedFaultCase,
     BitMatmulArray, BoxSet, CacheActivity, CacheKey, CacheOutcome, CacheStats, CarrySave,

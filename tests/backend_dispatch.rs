@@ -238,7 +238,8 @@ fn evaluate_structure_traced_dispatch() {
     for (label, (alg, t, ic), fires, wants) in cases {
         let traced = |flow: &DesignFlow| {
             let mut sink = RecordingSink::new();
-            let rep = flow.evaluate_structure_traced(label, &alg, &t, &ic, None, &mut sink);
+            let rep =
+                flow.evaluate_structure_faulted(label, &alg, &t, &ic, None, &mut sink, &NoFaults);
             (rep, sink)
         };
         let run = |backend| traced(&DesignFlow::matmul(2, 2).with_backend(backend));
@@ -293,10 +294,10 @@ fn evaluate_faulted_dispatch() {
         on(&flow, faults)
     };
     let faultless = |flow: &DesignFlow, sink: &mut RecordingSink| {
-        flow.evaluate_faulted("fig4", &t, &ic, None, sink, &NoFaults)
+        flow.evaluate_structure_faulted("fig4", &alg, &t, &ic, None, sink, &NoFaults)
     };
     let dead = |flow: &DesignFlow, sink: &mut RecordingSink| {
-        flow.evaluate_faulted("fig4", &t, &ic, None, sink, &dead_pe)
+        flow.evaluate_structure_faulted("fig4", &alg, &t, &ic, None, sink, &dead_pe)
     };
     let oracle = run(INTERPRETED, &faultless);
     let dead_oracle = run(INTERPRETED, &dead);
@@ -317,7 +318,8 @@ fn evaluate_faulted_dispatch() {
         // Untraced too, a live injector walks on a warm flow.
         let flow = DesignFlow::matmul(2, 2).with_backend(backend);
         flow.evaluate_structure("fig4", &alg, &t, &ic, None);
-        let warm = flow.evaluate_faulted("fig4", &t, &ic, None, &mut NullSink, &dead_pe);
+        let warm =
+            flow.evaluate_structure_faulted("fig4", &alg, &t, &ic, None, &mut NullSink, &dead_pe);
         assert_eq!(
             warm.run.divergences_from(&dead_oracle.0.run),
             Vec::<&str>::new(),

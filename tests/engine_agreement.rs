@@ -11,8 +11,7 @@
 
 use bitlevel::depanal::{compose, Expansion};
 use bitlevel::systolic::{
-    run_clocked, run_clocked_compiled, run_clocked_traced, CompiledSchedule, Model35Cells,
-    RecordingSink,
+    run_clocked, run_clocked_faulted, CompiledSchedule, Model35Cells, NoFaults, RecordingSink,
 };
 use bitlevel::{BitMatmulArray, PaperDesign, WordLevelAlgorithm};
 use common::{for_each_seed, pick};
@@ -82,12 +81,12 @@ fn compiled_product(
 ) -> Vec<Vec<u128>> {
     let alg = compose(&WordLevelAlgorithm::matmul(u as i64), p, Expansion::II);
     let cells = matmul_cells(u, p, x, y);
-    let run = run_clocked_compiled(
+    let run = CompiledSchedule::compile(
         &alg,
         &design.mapping(p as i64),
         &design.interconnect(p as i64),
-        &cells,
-    );
+    )
+    .execute(&cells);
     assert!(
         run.is_legal(),
         "{design:?} (compiled): {:?}",
@@ -175,7 +174,7 @@ fn compiled_run_is_bit_identical_on_seeded_draws() {
             let ic = design.interconnect(p as i64);
             let mut cells = matmul_cells(u, p, &x, &y);
             let interpreted = run_clocked(&alg, &t, &ic, &mut cells);
-            let compiled = run_clocked_compiled(&alg, &t, &ic, &cells);
+            let compiled = CompiledSchedule::compile(&alg, &t, &ic).execute(&cells);
             assert_eq!(compiled.cycles, interpreted.cycles, "{what}");
             assert_eq!(compiled.violations, interpreted.violations, "{what}");
             assert_eq!(
@@ -237,7 +236,7 @@ fn traced_runs_are_bit_identical_and_account_for_every_point() {
         let plain = run_clocked(&alg, &t, &ic, &mut cells);
         let mut cells = matmul_cells(u, p, &x, &y);
         let mut rec_i = RecordingSink::new();
-        let traced = run_clocked_traced(&alg, &t, &ic, &mut cells, &mut rec_i);
+        let traced = run_clocked_faulted(&alg, &t, &ic, &mut cells, &mut rec_i, &NoFaults);
         assert_eq!(traced.cycles, plain.cycles, "{design:?}");
         assert_eq!(traced.violations, plain.violations, "{design:?}");
         assert_eq!(traced.peak_in_flight, plain.peak_in_flight, "{design:?}");
@@ -248,7 +247,7 @@ fn traced_runs_are_bit_identical_and_account_for_every_point() {
             .expect("the 7-column matmul structure compiles");
         let plain_c = sched.execute(&cells);
         let mut rec_c = RecordingSink::new();
-        let traced_c = sched.execute_traced(&cells, &mut rec_c);
+        let traced_c = sched.execute_faulted(&cells, &mut rec_c, &NoFaults);
         assert_eq!(traced_c.cycles, plain_c.cycles, "{design:?}");
         assert_eq!(traced_c.violations, plain_c.violations, "{design:?}");
         assert_eq!(
@@ -294,7 +293,7 @@ fn traced_violations_mirror_the_engines_violation_stream() {
     let ic = PaperDesign::NearestNeighbour.interconnect(p as i64);
     let mut cells = matmul_cells(u, p, &x, &y);
     let mut rec = RecordingSink::new();
-    let run = run_clocked_traced(&alg, &t, &ic, &mut cells, &mut rec);
+    let run = run_clocked_faulted(&alg, &t, &ic, &mut cells, &mut rec, &NoFaults);
     assert!(!run.is_legal());
     let rendered: Vec<String> = run.violations.iter().map(|v| v.to_string()).collect();
     assert_eq!(rec.violation_descriptions(), rendered);

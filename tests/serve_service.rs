@@ -244,15 +244,17 @@ fn served_campaign_counts_equal_the_scalar_oracles() {
             let keys = ["masked", "detected", "sdc", "engine_mismatches", "trials"];
             let mut want = [0i64; 5];
             let (mut done, mut chunk) = (0usize, 0u64);
+            let cache = bitlevel::CompileCache::new();
             while done < trials {
                 let n = bitlevel::serve::protocol::MC_CHUNK.min(trials - done);
-                let rep = bitlevel::fault::monte_carlo_campaign(
+                let rep = bitlevel::monte_carlo_campaign_with_cache(
                     paper,
                     u as usize,
                     p,
                     seed + chunk,
                     n,
                     rate,
+                    &cache,
                 );
                 for (w, got) in want.iter_mut().zip([
                     rep.masked,

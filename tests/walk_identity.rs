@@ -19,8 +19,8 @@
 
 use bitlevel::fault::{matmul_structure, operand_matrices};
 use bitlevel::systolic::{
-    run_clocked, run_clocked_faulted, simulate_mapped_faulted, simulate_mapped_traced, ClockedRun,
-    MatmulExpansionIICells, MatmulLaneCells, MatmulSignals, NoFaults,
+    run_clocked, run_clocked_faulted, simulate_mapped_faulted, ClockedRun, MatmulExpansionIICells,
+    MatmulLaneCells, MatmulSignals, NoFaults,
 };
 use bitlevel::{
     AlgorithmTriplet, BackendUsed, CompiledSchedule, DesignFlow, FaultKind, FaultPlan,
@@ -160,7 +160,7 @@ fn check_streams(case: &Case) {
     let lanes = case.lanes(11);
 
     let mut sink = RecordingSink::new();
-    let scalar = sched.execute_traced(&cells, &mut sink);
+    let scalar = sched.execute_faulted(&cells, &mut sink, &NoFaults);
     let reference = sink.events().to_vec();
     assert_eq!(
         sink.rollup().fire_total() as usize,
@@ -212,7 +212,8 @@ fn scalar_batch_and_partitioned_walks_emit_one_stream() {
     for case in cases() {
         check_streams(&case);
         let mut sink = RecordingSink::new();
-        case.schedule().execute_traced(&case.cells(0), &mut sink);
+        case.schedule()
+            .execute_faulted(&case.cells(0), &mut sink, &NoFaults);
         unroutable += sink
             .events()
             .iter()
@@ -281,10 +282,10 @@ fn faulted_mapped_reports_match_the_interpreted_simulator() {
         let sched = case.schedule();
 
         let mut sink = RecordingSink::new();
-        let oracle = simulate_mapped_traced(&case.alg, &case.t, &case.ic, &mut sink);
+        let oracle = simulate_mapped_faulted(&case.alg, &case.t, &case.ic, &mut sink, &NoFaults);
         let oracle_events = sorted_events(sink.events());
         let mut sink = RecordingSink::new();
-        let report = sched.mapped_report_traced(&mut sink);
+        let report = sched.mapped_report_faulted(&mut sink, &NoFaults);
         let name = &case.name;
         assert!(
             report.bit_identical(&oracle),
@@ -352,7 +353,7 @@ fn untraced_walks_reuse_the_schedule_bookkeeping() {
         illegal += usize::from(!oracle[0].violations.is_empty());
 
         let sched = case.schedule();
-        let traced = vec![sched.execute_traced(&cells, &mut RecordingSink::new())];
+        let traced = vec![sched.execute_faulted(&cells, &mut RecordingSink::new(), &NoFaults)];
         let traced_lanes = sched
             .execute_batch_traced(&lanes, &mut RecordingSink::new())
             .lane_runs(&lanes);
