@@ -1,7 +1,7 @@
 //! Seeded draws for the property tests: a splitmix64 stream per seed, and
 //! a runner that names the seed of a failing draw.
 
-pub fn splitmix64(state: &mut u64) -> u64 {
+fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E3779B97F4A7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
