@@ -18,13 +18,14 @@
 //!   case ([`single_fault_campaign`] runs it on a throwaway cache);
 //! * [`batched_single_fault_campaign`] — the lane-packed production path:
 //!   up to 64 distinct fault cases ride the bit-lanes of **one** word-wide
-//!   compiled walk, and all lanes of a walk classify in one pass — case-for-case bit-identical to the scalar sweep
-//!   (a report method checks exactly that). The walks are differential:
-//!   one clean walk runs per request, and each packed walk re-fires only
-//!   the slots its flips disturb ([`bitlevel_systolic::GoldenBatch`]), equal
-//!   to a full [`bitlevel_systolic::LaneFaultedCells`] walk.
+//!   compiled walk, case-for-case bit-identical to the scalar sweep (a
+//!   report method checks exactly that). The walks are differential: one
+//!   clean walk runs per request, and each packed walk pushes over the
+//!   disturbed cone, re-firing only the slots its flips reach
+//!   ([`bitlevel_systolic::GoldenBatch::faulted`]), equal to a full
+//!   [`bitlevel_systolic::LaneFaultedCells`] walk.
 //!   [`batched_single_fault_counts`] runs the same walks and keeps only the
-//!   counts.
+//!   counts, tallied by popcount.
 //!
 //! The Monte Carlo campaign has the same two forms:
 //! [`monte_carlo_campaign_with_cache`] runs every trial on both engines one
@@ -33,6 +34,12 @@
 //! report. Its walks stay full: a 64-trial chunk at a rate of 0.01 faults
 //! nearly every slot in some lane, so a clean walk first would only add
 //! work.
+//!
+//! Every lane-packed walk, sweep or Monte Carlo, classifies all its lanes
+//! in one word-parallel pass ([`MatmulChecksums::classify_lanes`]): the
+//! product's result bits are read as words through a slot table built once
+//! per request, masked lanes fall out of one comparison with the golden
+//! bits, and the row and column sums of every lane are added bit-sliced.
 //!
 //! Every driver compiles through the [`CompileCache`] its caller passes, so
 //! repeated campaigns on one design pay for schedule compilation once; the
@@ -54,7 +61,7 @@ use bitlevel_systolic::{
     MatmulLaneSignals, MatmulSignals, NullSink, MAX_LANES,
 };
 
-use crate::abft::{FaultOutcome, MatmulChecksums};
+use crate::abft::{FaultOutcome, LaneVerdicts, MatmulChecksums};
 use crate::plan::{splitmix64, FaultKind, FaultPlan, RandomFault, TargetedFault};
 
 /// The (3.12) Expansion II structure for `u×u` matrices of `p`-bit words.
@@ -185,9 +192,8 @@ struct CampaignRig {
     cells: MatmulExpansionIICells,
     checksums: MatmulChecksums,
     golden: Vec<Vec<u128>>,
-    /// The golden product's bits broadcast to whole words (all ones or all
-    /// zeros), laid out like [`MatmulLaneCells::product_words`].
-    golden_words: Vec<LaneWord>,
+    /// The slot of every [`MatmulLaneCells::product_words`] word.
+    product_slots: Vec<usize>,
 }
 
 impl CampaignRig {
@@ -199,13 +205,7 @@ impl CampaignRig {
         let golden = BitMatmulArray::new(u, p).reference(&x, &y);
         let checksums = MatmulChecksums::derive(&x, &y, p);
         let cells = MatmulExpansionIICells::new(u, p, &x, &y);
-        let golden_words = golden
-            .iter()
-            .flatten()
-            .flat_map(|&z| {
-                (0..2 * p - 1).map(move |k| if (z >> k) & 1 == 1 { LaneWord::MAX } else { 0 })
-            })
-            .collect();
+        let product_slots = MatmulLaneCells::product_slots(u, p, &alg.index_set);
         let (sched, _) = cache
             .get_or_compile(&alg, &t, &ic)
             .expect("paper-scale structures always fit the compiled representation");
@@ -220,7 +220,7 @@ impl CampaignRig {
             cells,
             checksums,
             golden,
-            golden_words,
+            product_slots,
         }
     }
 
@@ -232,65 +232,41 @@ impl CampaignRig {
     }
 
     /// Classifies lanes `0..lanes` of a packed run exactly as
-    /// [`MatmulChecksums::classify`] classifies each lane's product. Masked
-    /// lanes, whose product bits all equal the golden product's, are found
-    /// for every lane at once by XOR against the golden bits; only the lanes
-    /// that differ are read out and checked against the checksums.
-    fn classify_lanes(
-        &self,
-        cells: &MatmulLaneCells,
-        run: &BatchRun<MatmulLaneSignals>,
-        lanes: usize,
-    ) -> Vec<FaultOutcome> {
-        let words = cells.product_words(run);
-        let differ = words
+    /// [`MatmulChecksums::classify`] classifies each lane's product, all in
+    /// one word-parallel pass ([`MatmulChecksums::classify_lanes`]) over
+    /// the result-bit words the slot table reads out of the run.
+    fn classify_lanes(&self, run: &BatchRun<MatmulLaneSignals>, lanes: usize) -> LaneVerdicts {
+        let words: Vec<LaneWord> = self
+            .product_slots
             .iter()
-            .zip(&self.golden_words)
-            .fold(0, |acc, (w, g)| acc | (w ^ g));
-        let (u, width) = (self.golden.len(), 2 * self.p - 1);
-        (0..lanes)
-            .map(|lane| {
-                if (differ >> lane) & 1 == 0 {
-                    return FaultOutcome::Masked;
-                }
-                self.checksums.classify_corrupt(|i, j| {
-                    let entry = &words[(i * u + j) * width..][..width];
-                    entry
-                        .iter()
-                        .rev()
-                        .fold(0u128, |z, &w| z << 1 | ((w >> lane) & 1) as u128)
-                })
-            })
-            .collect()
+            .map(|&s| run.outputs[s].s)
+            .collect();
+        self.checksums.classify_lanes(&self.golden, &words, lanes)
     }
 
-    /// The exhaustive sweep's outcomes in sweep order, packed `width` cases
-    /// per word-wide walk: case `i` flips signal bit `i mod b` (`b` the
-    /// bundle's fault bits) at the point of slot `⌊i/b⌋` and rides lane
-    /// `i mod width` of walk `⌊i/width⌋`. One clean walk runs first; each
-    /// faulted walk then re-fires only the slots its flips disturb
-    /// ([`GoldenBatch::faulted`]). Walks run in sweep order and their
-    /// outcomes append to one vector sized for the whole sweep.
+    /// Runs the exhaustive sweep packed `width` cases per word-wide walk and
+    /// hands each walk's verdicts to `visit`, in sweep order: case `i`
+    /// flips signal bit `i mod b` (`b` the bundle's fault bits) at the point
+    /// of slot `⌊i/b⌋` and rides lane `i mod width` of walk `⌊i/width⌋`.
+    /// One clean walk runs first; each faulted walk then re-fires only the
+    /// slots its flips disturb ([`GoldenBatch::faulted`]). A ragged final
+    /// walk leaves its high lanes unfaulted, and its verdicts cover only
+    /// its occupied lanes.
     ///
     /// [`GoldenBatch::faulted`]: bitlevel_systolic::GoldenBatch::faulted
-    fn batched_outcomes(&self, width: usize) -> Vec<FaultOutcome> {
+    fn batched_walks(&self, width: usize, mut visit: impl FnMut(LaneVerdicts)) {
         let bits = MatmulSignals::fault_bits();
         let total = self.sched.n_points() * bits;
-        // A ragged final walk leaves its high lanes clean; they are never
-        // read back.
         let cells = self.lane_cells(width);
         let golden = self.sched.golden_batch(&cells);
-        let mut outcomes = Vec::with_capacity(total);
         for walk in 0..total.div_ceil(width) {
             let cases = walk * width..total.min((walk + 1) * width);
             let mut masks = LaneFaultMasks::new(&self.alg.index_set);
             for (lane, case) in cases.clone().enumerate() {
                 masks.flip_slot(case / bits, case % bits, lane);
             }
-            let run = golden.faulted(&masks);
-            outcomes.extend(self.classify_lanes(&cells, &run, cases.len()));
+            visit(self.classify_lanes(&golden.faulted(&masks), cases.len()));
         }
-        outcomes
     }
 
     /// Runs one plan on both engines and classifies each output.
@@ -545,14 +521,14 @@ pub fn batched_monte_carlo_campaign(
         let faulted = LaneFaultedCells::new(&cells, &masks);
         let irun = run_clocked_batch(&rig.alg, &rig.t, &rig.ic, &faulted);
         let crun = rig.sched.execute_batch(&faulted);
-        let interpreted = rig.classify_lanes(&cells, &irun, chunk.len());
-        let compiled = rig.classify_lanes(&cells, &crun, chunk.len());
+        let interpreted = rig.classify_lanes(&irun, chunk.len());
+        let compiled = rig.classify_lanes(&crun, chunk.len());
         for (lane, plan) in chunk.iter().enumerate() {
             details.push(MonteCarloTrial {
                 seed: plan.seed,
                 injected: injected[lane],
-                interpreted: interpreted[lane],
-                compiled: compiled[lane],
+                interpreted: interpreted.outcome(lane),
+                compiled: compiled.outcome(lane),
             });
         }
     }
@@ -726,16 +702,25 @@ pub struct BatchedCampaignCounts {
 }
 
 impl BatchedCampaignCounts {
-    fn tally(width: usize, outcomes: &[FaultOutcome]) -> Self {
-        let count = |o: FaultOutcome| outcomes.iter().filter(|&&c| c == o).count();
+    /// The counts of a sweep packed `width` cases per walk, before any walk.
+    fn empty(width: usize) -> Self {
         BatchedCampaignCounts {
             width,
-            total: outcomes.len(),
-            walks: outcomes.len().div_ceil(width),
-            masked: count(FaultOutcome::Masked),
-            detected: count(FaultOutcome::Detected),
-            sdc: count(FaultOutcome::Sdc),
+            total: 0,
+            walks: 0,
+            masked: 0,
+            detected: 0,
+            sdc: 0,
         }
+    }
+
+    /// Counts one more walk: a popcount per outcome over its occupied lanes.
+    fn add(&mut self, verdicts: LaneVerdicts) {
+        self.total += verdicts.lanes();
+        self.walks += 1;
+        self.masked += verdicts.count(FaultOutcome::Masked);
+        self.detected += verdicts.count(FaultOutcome::Detected);
+        self.sdc += verdicts.count(FaultOutcome::Sdc);
     }
 
     /// True iff `{masked, detected, sdc}` partitions the injected set.
@@ -751,13 +736,13 @@ impl BatchedCampaignCounts {
 ///
 /// Each chunk of `width` cases becomes one word-wide walk: lane `l`
 /// carries chunk case `l`'s flip via a per-lane mask, and the walk's lanes
-/// classify against the shared golden product and checksums at once
-/// (masked lanes by one word-wide comparison, the rest from the packed
-/// product bits). One clean walk runs first, and each chunk's walk starts
-/// from it and re-fires only the slots its flips disturb
-/// ([`bitlevel_systolic::GoldenBatch::faulted`], equal to a full
-/// [`LaneFaultedCells`] walk). The schedule compiles once through `cache`
-/// — shared with any scalar campaign or pipeline using the same cache.
+/// classify against the shared golden product and checksums in one
+/// word-parallel pass ([`MatmulChecksums::classify_lanes`]). One clean walk
+/// runs first, and each chunk's walk starts from it and re-fires only the
+/// slots its flips disturb ([`bitlevel_systolic::GoldenBatch::faulted`],
+/// equal to a full [`LaneFaultedCells`] walk). The schedule compiles once
+/// through `cache` — shared with any scalar campaign or pipeline using the
+/// same cache.
 ///
 /// Each case records its point's slot and its fault; the report keeps one
 /// table of the points (coordinates, cycle, processor) and one of the
@@ -778,10 +763,14 @@ pub fn batched_single_fault_campaign(
 ) -> BatchedFaultCampaignReport {
     let width = width.clamp(1, MAX_LANES);
     let rig = CampaignRig::new(design, u, p, seed, cache);
-    let outcomes = rig.batched_outcomes(width);
-    let counts = BatchedCampaignCounts::tally(width, &outcomes);
-    let points = PointTable::new(&rig.sched);
     let bits = MatmulSignals::fault_bits();
+    let mut counts = BatchedCampaignCounts::empty(width);
+    let mut outcomes = Vec::with_capacity(rig.sched.n_points() * bits);
+    rig.batched_walks(width, |verdicts| {
+        counts.add(verdicts);
+        outcomes.extend(verdicts.outcomes());
+    });
+    let points = PointTable::new(&rig.sched);
     let mut hits = vec![0u64; rig.sched.n_processors()];
     let cases = outcomes
         .iter()
@@ -837,7 +826,9 @@ pub fn batched_single_fault_counts(
 ) -> BatchedCampaignCounts {
     let width = width.clamp(1, MAX_LANES);
     let rig = CampaignRig::new(design, u, p, seed, cache);
-    BatchedCampaignCounts::tally(width, &rig.batched_outcomes(width))
+    let mut counts = BatchedCampaignCounts::empty(width);
+    rig.batched_walks(width, |verdicts| counts.add(verdicts));
+    counts
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@ pub mod abft;
 pub mod campaign;
 pub mod plan;
 
-pub use abft::{checksum_modulus, FaultOutcome, MatmulChecksums, SyndromeSet};
+pub use abft::{checksum_modulus, FaultOutcome, LaneVerdicts, MatmulChecksums, SyndromeSet};
 pub use campaign::{
     batched_monte_carlo_campaign, batched_single_fault_campaign, batched_single_fault_counts,
     matmul_structure, monte_carlo_campaign_with_cache, operand_matrices, single_fault_campaign,

@@ -510,11 +510,6 @@ impl LaneFaultMasks {
         }
     }
 
-    /// True iff some fault is scheduled at slot `s`.
-    pub(crate) fn is_faulted(&self, s: usize) -> bool {
-        self.index[s] != 0
-    }
-
     /// The slots with a fault scheduled, ascending.
     pub(crate) fn faulted_slots(&self) -> impl Iterator<Item = usize> + '_ {
         self.index
@@ -620,15 +615,45 @@ pub struct GoldenBatch<'a, L: LaneCellSemantics> {
     sched: &'a CompiledSchedule,
     cells: &'a L,
     clean: BatchRun<L::Packed>,
+    /// Per slot: its position in the schedule's fire order.
+    rank: Vec<u32>,
+    /// Per dependence column `i`: the slot distance `⟨d̄ᵢ, strides⟩` from a
+    /// producer to the consumer its column-`i` launch bit feeds (0 for a
+    /// column no slot consumes).
+    offsets: Vec<usize>,
 }
 
 impl<'a, L: LaneCellSemantics> GoldenBatch<'a, L> {
-    /// Runs `cells` clean on `sched`.
+    /// Runs `cells` clean on `sched` and tabulates, in `O(|J| + m)`, the
+    /// fire ranks and column offsets a differential walk pushes along. Each
+    /// column's offset is read off one consumer of it: the slot minus its
+    /// column producer.
     pub(crate) fn new(sched: &'a CompiledSchedule, cells: &'a L) -> Self {
+        let mut rank = vec![0u32; sched.n_points];
+        for (r, &s) in sched.fire_order.iter().enumerate() {
+            rank[s as usize] = r as u32;
+        }
+        let m = sched.m;
+        let mut offsets = vec![0usize; m];
+        let mut unseen = u64::MAX.checked_shr(64 - m as u32).unwrap_or(0);
+        for (s, &consumed) in sched.consume_mask.iter().enumerate() {
+            let mut columns = consumed & unseen;
+            unseen &= !consumed;
+            while columns != 0 {
+                let i = columns.trailing_zeros() as usize;
+                columns &= columns - 1;
+                offsets[i] = s.wrapping_sub(sched.producers[s * m + i] as usize);
+            }
+            if unseen == 0 {
+                break;
+            }
+        }
         GoldenBatch {
             sched,
             cells,
             clean: sched.execute_batch(cells),
+            rank,
+            offsets,
         }
     }
 }
@@ -644,19 +669,24 @@ where
     /// cycles, violations, peaks and lanes, but re-firing only the slots the
     /// faults disturb.
     ///
-    /// The walk starts from the clean run at the earliest cycle that holds
-    /// a faulted slot and scans the fire order from there. A slot re-fires
-    /// only if it is faulted or the producer of one of its consumed columns
-    /// is dirty, and it becomes dirty only if its re-fired word differs
-    /// from the clean word; every other slot keeps the clean word. This is
-    /// exact because a cell is a function of its point and inputs, lane
-    /// faults only edit computed words, and in a causal schedule every
-    /// producer fires in an earlier cycle, so a re-fired slot reads exactly
-    /// the words the full walk would give it. A non-causal schedule takes
-    /// the full walk: there a same-cycle producer later in slot order reads
-    /// as a boundary input, which a pre-filled clean word would hide.
-    /// Cycles, violations and peaks are the clean run's, since lane faults
-    /// never move the schedule.
+    /// The walk pushes over the disturbed cone. A bitset over fire ranks
+    /// starts with the faulted slots, and the walk visits its pending ranks
+    /// in ascending order. A visited slot re-fires on the current words; if
+    /// its word differs from the clean word, the new word replaces it and
+    /// the consumers its launch bits name become pending, each at the
+    /// producer's slot plus its column's offset. Every other slot keeps the
+    /// clean word.
+    ///
+    /// This is exact because a cell is a function of its point and inputs,
+    /// lane faults only edit computed words, and in a causal schedule every
+    /// consumer fires in a later cycle than its producers, so at a higher
+    /// fire rank. A pending rank is therefore always above the one being
+    /// visited: each slot is visited at most once, after every producer of
+    /// it is final, and reads exactly the words the full walk would give
+    /// it. A non-causal schedule takes the full walk: there a same-cycle
+    /// producer later in slot order reads as a boundary input, which a
+    /// pre-filled clean word would hide. Cycles, violations and peaks are
+    /// the clean run's, since lane faults never move the schedule.
     ///
     /// # Panics
     /// Panics if `masks` was built over another index set.
@@ -670,38 +700,41 @@ where
             return sched.execute_batch(&LaneFaultedCells::new(self.cells, masks));
         }
         let mut run = self.clean.clone();
-        let Some(first) = masks.faulted_slots().map(|s| sched.cycle[s]).min() else {
-            return run;
+        let mut pending = vec![0u64; sched.n_points.div_ceil(64)];
+        let mark = |pending: &mut [u64], s: usize| {
+            let r = self.rank[s] as usize;
+            pending[r / 64] |= 1 << (r % 64);
         };
-        let k = sched.cycle_values.partition_point(|&c| c < first);
+        for s in masks.faulted_slots() {
+            mark(&mut pending, s);
+        }
         let m = sched.m;
-        let mut dirty = vec![false; sched.n_points];
         let mut point = IVec(Vec::new());
         let mut inputs = Vec::with_capacity(m);
-        for &s in &sched.fire_order[sched.cycle_offsets[k]..] {
-            let s = s as usize;
-            let producers = &sched.producers[s * m..(s + 1) * m];
-            let consumed = sched.consume_mask[s];
-            let mut disturbed = masks.is_faulted(s);
-            let mut columns = consumed;
-            while !disturbed && columns != 0 {
-                let i = columns.trailing_zeros() as usize;
-                columns &= columns - 1;
-                disturbed = dirty[producers[i] as usize];
-            }
-            if !disturbed {
-                continue;
-            }
-            sched.point_into(s, &mut point);
-            inputs.clear();
-            inputs.extend(producers.iter().enumerate().map(|(i, &src)| {
-                (consumed & (1 << i) != 0).then(|| run.outputs[src as usize].clone())
-            }));
-            let mut word = self.cells.compute_lanes(&point, &inputs);
-            masks.apply_slot(s, &mut word);
-            if word != run.outputs[s] {
+        for w in 0..pending.len() {
+            while pending[w] != 0 {
+                let r = w * 64 + pending[w].trailing_zeros() as usize;
+                pending[w] &= pending[w] - 1;
+                let s = sched.fire_order[r] as usize;
+                let producers = &sched.producers[s * m..(s + 1) * m];
+                let consumed = sched.consume_mask[s];
+                sched.point_into(s, &mut point);
+                inputs.clear();
+                inputs.extend(producers.iter().enumerate().map(|(i, &src)| {
+                    (consumed & (1 << i) != 0).then(|| run.outputs[src as usize].clone())
+                }));
+                let mut word = self.cells.compute_lanes(&point, &inputs);
+                masks.apply_slot(s, &mut word);
+                if word == run.outputs[s] {
+                    continue;
+                }
                 run.outputs[s] = word;
-                dirty[s] = true;
+                let mut launches = sched.launch_mask[s];
+                while launches != 0 {
+                    let i = launches.trailing_zeros() as usize;
+                    launches &= launches - 1;
+                    mark(&mut pending, s.wrapping_add(self.offsets[i]));
+                }
             }
         }
         run
@@ -845,19 +878,20 @@ impl MatmulLaneCells {
     /// # Panics
     /// Panics if `run` came from a different structure (missing points).
     pub fn product_words(&self, run: &BatchRun<MatmulLaneSignals>) -> Vec<LaneWord> {
-        let (u, p) = (self.u as i64, self.p as i64);
-        let mut words = Vec::with_capacity((u * u * (2 * p - 1)) as usize);
-        for j1 in 1..=u {
-            for j2 in 1..=u {
-                for i in 1..=p {
-                    words.push(run.output_at(&[j1, j2, u, i, 1]).s);
-                }
-                for i in p + 1..=2 * p - 1 {
-                    words.push(run.output_at(&[j1, j2, u, p, i - p + 1]).s);
-                }
-            }
-        }
-        words
+        result_slots(&run.slots, self.u, self.p)
+            .map(|s| run.outputs[s].s)
+            .collect()
+    }
+
+    /// The slot of each [`MatmulLaneCells::product_words`] word in a run of
+    /// a `u×u`, `p`-bit matmul over the (3.12) index set `set`, by stride
+    /// arithmetic: a caller that reads many runs of one structure builds
+    /// this once and reads each run's words as `outputs[slot].s`.
+    ///
+    /// # Panics
+    /// Panics if a result point lies outside `set`.
+    pub fn product_slots(u: usize, p: usize, set: &BoxSet) -> Vec<usize> {
+        result_slots(&Slots::new(set.clone()), u, p).collect()
     }
 
     /// Extracts every lane's product matrix (mod `2^{2p−1}`) straight from
@@ -882,6 +916,24 @@ impl MatmulLaneCells {
             })
             .collect()
     }
+}
+
+/// The slots of a `u×u`, `p`-bit matmul's result bits under `slots`, in the
+/// order of [`MatmulLaneCells::product_words`]: for each `(j1, j2)`, bits
+/// `1..=p` at `(j1, j2, u, i, 1)`, then bits `p+1..=2p−1` at
+/// `(j1, j2, u, p, i−p+1)`.
+fn result_slots(slots: &Slots, u: usize, p: usize) -> impl Iterator<Item = usize> + '_ {
+    let (u, p) = (u as i64, p as i64);
+    (1..=u)
+        .flat_map(move |j1| (1..=u).map(move |j2| (j1, j2)))
+        .flat_map(move |(j1, j2)| {
+            let low = (1..=p).map(move |i| [j1, j2, u, i, 1]);
+            low.chain((p + 1..2 * p).map(move |i| [j1, j2, u, p, i - p + 1]))
+        })
+        .map(|q| match slots.rank(&q) {
+            Some(s) => s,
+            None => panic!("point {q:?} lies outside the walked index set"),
+        })
 }
 
 /// ORs `mask` into the bit planes of `m`: `planes[a][b][k]` gets `mask` iff
